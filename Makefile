@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire soak-smoke bench bench-smoke examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire stress soak-smoke bench bench-smoke examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -41,9 +41,10 @@ race-replica:
 
 # focused race gate over the sharded datacube cluster and its wire
 # protocol: scatter/gather equivalence, replica kill mid-pipeline,
-# heal/resync, typed wire errors, client poisoning, half-open breaker
+# heal/resync, typed wire errors, client poisoning (including the
+# forced mux interleaving), the handshake version check, half-open breaker
 race-cluster:
-	$(GO) test -race -count=1 -run 'Cluster|Shard|Failover|Heal|WireError|Poison|Broken|ProtocolGarbage|HalfOpen|PlanReuse|Partial' \
+	$(GO) test -race -count=1 -run 'Cluster|Shard|Failover|Heal|WireError|Poison|Broken|Mux|Handshake|ProtocolGarbage|HalfOpen|PlanReuse|Partial' \
 		./internal/cubecluster/ ./internal/cubeserver/ ./internal/datacube/ ./internal/multisite/
 
 # focused race gate over the resolution pyramid and its consumers: lazy
@@ -55,12 +56,20 @@ race-pyramid:
 		./internal/datacube/ ./internal/cubeserver/ ./internal/cubecluster/ ./internal/indices/ ./internal/tctrack/
 
 # focused race gate over the v2 wire layer: codec round-trip/parity,
-# multiplexed concurrent clients, connection pooling and failover,
-# protocol negotiation and mixed-version interop, idle/write deadlines,
-# poisoning semantics under concurrent Close
+# multiplexed concurrent clients, connection pooling and failover, the
+# version check on both sides (handshake, garbage openings),
+# idle/write deadlines, poisoning semantics under concurrent Close and
+# under the forced done-before-send mux interleaving
 race-wire:
-	$(GO) test -race -count=1 -run 'Wire|Mux|Interop|Frame|Pool|Timeout|Idle|Codec|Negotiat|Broken|Poison|CloseConcurrent' \
+	$(GO) test -race -count=1 -run 'Wire|Mux|Handshake|Garbage|Frame|Pool|Timeout|Idle|Codec|Negotiat|Broken|Poison|CloseConcurrent' \
 		./internal/cubeserver/ ./internal/cubecluster/
+
+# opt-in stress pass (not in CI): re-runs the concurrency suites N
+# times under the race detector to shake out rare interleavings, e.g.
+# make stress N=200
+N ?= 20
+stress:
+	$(GO) test -race -count=$(N) -run 'Wire|Mux|Pool|Lease|Fenc|Demot|Promot|Exchange|HotSwap' ./...
 
 # short-mode replica soak in the tier-1 gate: one kill/reclaim cycle,
 # exactly-once and byte-identical outputs still asserted

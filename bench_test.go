@@ -8,7 +8,7 @@
 //	BenchmarkBaselineReuse            C2 — in-memory baseline reuse
 //	BenchmarkCubeScaling              C3 — I/O-server scaling
 //	BenchmarkClusterShardSweep        C3 — sharded cluster scatter/gather scaling
-//	BenchmarkWireCodec                C3 — gob vs v2 wire codec throughput
+//	BenchmarkWireCodec                C3 — v2 wire codec throughput
 //	BenchmarkRuntimeThroughput        C4 — task-graph parallelism
 //	BenchmarkSchedulerOverhead        C4 — per-task runtime overhead
 //	BenchmarkCNNInference             C5 — ML localizer inference cost
@@ -25,9 +25,7 @@
 package repro
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -114,50 +112,6 @@ func BenchmarkFig4Pipeline(b *testing.B) {
 		_ = res.Duration.Delete()
 		_ = res.Number.Delete()
 		_ = res.Frequency.Delete()
-	}
-}
-
-// BenchmarkFusedVsEagerPipeline isolates the fused data plane's win on
-// the Figure-4 workload: the same heat-wave chain on the same resident
-// cube, executed operator-at-a-time (eager) vs as one fused
-// multi-output pass (datacube.Plan). The import is hoisted out so the
-// numbers compare pure pipeline execution.
-func BenchmarkFusedVsEagerPipeline(b *testing.B) {
-	g := grid.Grid{NLat: 32, NLon: 64}
-	const days = 20
-	model := esm.NewModel(esm.Config{Grid: g, Years: 1, DaysPerYear: days, Seed: 7, Events: benchEvents})
-	files, err := model.Run(esm.RunOptions{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := datacube.NewEngine(datacube.Config{Servers: 2})
-	defer engine.Close()
-	baseline, err := indices.BuildBaseline(engine, g, days)
-	if err != nil {
-		b.Fatal(err)
-	}
-	temp, err := engine.ImportFiles(files, "TREFHT", "time")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"eager", true}, {"fused", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			params := indices.Params{DaysPerYear: days, Eager: mode.eager}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := indices.HeatWavesFromCube(temp, baseline, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = res.Duration.Delete()
-				_ = res.Number.Delete()
-				_ = res.Frequency.Delete()
-			}
-		})
 	}
 }
 
@@ -404,12 +358,11 @@ func BenchmarkClusterShardSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec compares the two cubeserver wire codecs on the
+// BenchmarkWireCodec measures the cubeserver v2 wire codec on the
 // bulk-payload path: a putcube request carrying 1 KB / 1 MB / 16 MB of
-// float32 cells, encoded and decoded through a steady-state gob stream
-// (the legacy session codec, type info amortized away) vs the v2
-// binary framing (raw little-endian float blocks, no reflection).
-// Throughput is payload MB/s for one encode+decode round trip.
+// float32 cells, encoded and decoded through the binary framing (raw
+// little-endian float blocks, no reflection). Throughput is payload
+// MB/s for one encode+decode round trip.
 func BenchmarkWireCodec(b *testing.B) {
 	sizes := []struct {
 		name       string
@@ -434,24 +387,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			Values: values,
 		}
 		payload := int64(sz.rows) * int64(sz.cols) * 4
-		b.Run("gob/"+sz.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			dec := gob.NewDecoder(&buf)
-			var out cubeserver.Request
-			b.SetBytes(payload)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := enc.Encode(req); err != nil {
-					b.Fatal(err)
-				}
-				out = cubeserver.Request{}
-				if err := dec.Decode(&out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run("v2/"+sz.name, func(b *testing.B) {
 			var scratch []byte
 			var out cubeserver.Request

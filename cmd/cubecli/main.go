@@ -19,9 +19,9 @@
 //	cubecli list -addr ...
 //	cubecli stats -addr ...
 //
-// Clients negotiate the v2 binary wire protocol and fall back to gob
-// against older servers; -codec gob forces a legacy session. The
-// server closes idle connections after -idle-timeout.
+// Clients speak the v2 binary wire protocol; connecting to anything
+// that is not a v2 cube server fails. The server closes idle
+// connections after -idle-timeout.
 package main
 
 import (
@@ -158,21 +158,11 @@ func serve(args []string) {
 // addClientFlags registers the flags every client command shares.
 func addClientFlags(fs *flag.FlagSet) {
 	fs.String("addr", "127.0.0.1:8761", "server address")
-	fs.String("codec", "auto", "wire codec: auto negotiates v2 with gob fallback; gob forces a legacy session")
 }
 
 func dial(fs *flag.FlagSet) *cubeserver.Client {
 	addr := fs.Lookup("addr").Value.String()
-	var c *cubeserver.Client
-	var err error
-	switch codec := fs.Lookup("codec").Value.String(); codec {
-	case "auto":
-		c, err = cubeserver.Dial(addr)
-	case "gob":
-		c, err = cubeserver.DialGob(addr)
-	default:
-		log.Fatalf("unknown -codec %q (want auto or gob)", codec)
-	}
+	c, err := cubeserver.Dial(addr)
 	if err != nil {
 		log.Fatalf("connect %s: %v", addr, err)
 	}

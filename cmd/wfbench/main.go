@@ -51,9 +51,8 @@ import (
 )
 
 // useNet switches the C3 shard sweep from in-process transports to
-// real cubeserver TCP replicas, sweeping both wire codecs: legacy gob
-// (one serialized connection per replica) and v2 (multiplexed binary
-// frames over a connection pool). poolSize is the v2 per-replica pool.
+// real cubeserver TCP replicas speaking v2 (multiplexed binary frames
+// over a connection pool). poolSize is the per-replica pool.
 var (
 	useNet   bool
 	poolSize int
@@ -63,8 +62,8 @@ func main() {
 	log.SetFlags(0)
 	exp := flag.String("exp", "all", "experiment: c1|c2|c3|c4|ens|dist|pyramid|soak|all")
 	tracePath := flag.String("trace", "", "run one traced end-to-end workflow and write its Chrome trace JSON here (skips -exp)")
-	netFlag := flag.Bool("net", false, "run the C3 shard sweep over real TCP cubeserver replicas (both wire codecs) instead of in-process transports")
-	poolFlag := flag.Int("pool", cubecluster.DefaultPoolSize, "with -net: v2 connections pooled per replica")
+	netFlag := flag.Bool("net", false, "run the C3 shard sweep over real TCP cubeserver replicas instead of in-process transports")
+	poolFlag := flag.Int("pool", cubecluster.DefaultPoolSize, "with -net: connections pooled per replica")
 	flag.Parse()
 	useNet = *netFlag
 	poolSize = *poolFlag
@@ -445,29 +444,23 @@ func c3Cluster() {
 		log.Fatal(err)
 	}
 
-	if !useNet {
-		c3ClusterSweep("", path, dir)
-	} else {
-		fmt.Printf("codec=gob: one legacy connection per replica, exchanges serialized\n")
-		c3ClusterSweep("gob", path, dir)
-		fmt.Printf("codec=v2: multiplexed binary frames, %d pooled connections per replica\n", poolSize)
-		c3ClusterSweep("v2", path, dir)
+	if useNet {
+		fmt.Printf("v2 TCP replicas: multiplexed binary frames, %d pooled connections per replica\n", poolSize)
 	}
+	c3ClusterSweep(useNet, path, dir)
 	fmt.Printf("(gathered/run counts barrier partials + shapes; the %.1f MB cube stays sharded)\n\n", cubeMB)
 }
 
-// c3ClusterSweep runs the 1/2/4/8-shard scaling sweep once. codec ""
-// uses in-process transports; "gob" and "v2" build real TCP replicas
-// speaking that wire codec, and add measured wire bytes (from the
-// servers' per-codec counters) and per-shard scatter/gather op latency
-// quantiles to the table.
-func c3ClusterSweep(codec, path, spool string) {
+// c3ClusterSweep runs the 1/2/4/8-shard scaling sweep once, over
+// in-process transports or, with net, over real TCP replicas — which
+// adds measured wire bytes (from the servers' counters) and per-shard
+// scatter/gather op latency quantiles to the table.
+func c3ClusterSweep(net bool, path, spool string) {
 	pipe := []cubeserver.PipelineStep{
 		{Op: "apply", Expr: "x>50 ? x : 0"},
 		{Op: "reduce", RowOp: "sum"},
 		{Op: "aggrows", RowOp: "avg"},
 	}
-	net := codec != ""
 	if net {
 		fmt.Printf("%-8s %13s %9s %14s %13s %11s %11s %13s\n",
 			"shards", "pipeline time", "speedup", "gathered/run", "wire-out/run", "shard-p50", "shard-p99", "bulk gather")
@@ -476,7 +469,7 @@ func c3ClusterSweep(codec, path, spool string) {
 	}
 	var base time.Duration
 	for _, shards := range []int{1, 2, 4, 8} {
-		cl, reg, cleanup := c3NewCluster(shards, 32/shards, spool, codec)
+		cl, reg, cleanup := c3NewCluster(shards, 32/shards, spool, net)
 		imp := cl.Dispatch(&cubeserver.Request{Op: "importfiles", Paths: []string{path}, Var: "T", ImplicitDim: "time"})
 		if err := cubeserver.ResponseError(imp); err != nil {
 			log.Fatal(err)
@@ -484,7 +477,7 @@ func c3ClusterSweep(codec, path, spool string) {
 		// The wire counters live server-side and count actual encoded
 		// bytes; sample after import so the table shows steady-state
 		// pipeline traffic only.
-		wireOut := reg.CounterVec("cubeserver_wire_bytes_out_total", "bytes written to client connections", "codec").With(codec)
+		wireOut := reg.CounterVec("cubeserver_wire_bytes_out_total", "bytes written to client connections", "codec").With("v2")
 		w0 := wireOut.Value()
 		lat0 := cl.ShardOpSnapshot()
 		_, g0 := cl.BytesStats()
@@ -506,8 +499,8 @@ func c3ClusterSweep(codec, path, spool string) {
 		if net {
 			p50, p99 := quantilesSince(lat0, cl.ShardOpSnapshot())
 			// Bulk gather: pull the whole resident cube through the wire —
-			// the raw-block vs reflected-gob payload path, where the codec
-			// difference lives (pipeline gathers move only tiny partials).
+			// the raw-block payload path (pipeline gathers move only tiny
+			// partials).
 			tg := time.Now()
 			vals := cl.Dispatch(&cubeserver.Request{Op: "values", CubeID: imp.Shape.CubeID})
 			if err := cubeserver.ResponseError(vals); err != nil {
@@ -543,18 +536,17 @@ func quantilesSince(before, after obs.HistogramSnapshot) (p50, p99 float64) {
 	return after.Quantile(0.5), after.Quantile(0.99)
 }
 
-// c3NewCluster builds the sweep's cluster: in-process engines when
-// codec is "", or real TCP cubeserver replicas speaking the given wire
-// codec ("gob" dials one legacy connection per replica, "v2" a
-// multiplexed connection pool). The returned registry carries the
+// c3NewCluster builds the sweep's cluster: in-process engines, or with
+// net real TCP cubeserver replicas each behind a connection pool. The
+// returned registry carries the
 // servers' transport metrics and the coordinator's shard latency
 // histograms. fragsPerShard keeps the global fragment count constant
 // across sweep points, so a shard's simulated storage latency is
 // proportional to the data it holds.
-func c3NewCluster(shards, fragsPerShard int, spool, codec string) (*cubecluster.Cluster, *obs.Registry, func()) {
+func c3NewCluster(shards, fragsPerShard int, spool string, net bool) (*cubecluster.Cluster, *obs.Registry, func()) {
 	eng := datacube.Config{Servers: 1, FragmentsPerCube: fragsPerShard, FragmentLatency: 2 * time.Millisecond}
 	reg := obs.NewRegistry()
-	if codec == "" {
+	if !net {
 		cl, err := cubecluster.NewLocal(cubecluster.Config{Shards: shards, Engine: eng, SpoolDir: spool, Metrics: reg})
 		if err != nil {
 			log.Fatal(err)
@@ -569,22 +561,9 @@ func c3NewCluster(shards, fragsPerShard int, spool, codec string) (*cubecluster.
 		if err != nil {
 			log.Fatal(err)
 		}
-		var tr cubecluster.Transport
-		switch codec {
-		case "gob":
-			c, err := cubeserver.DialGob(srv.Addr())
-			if err != nil {
-				log.Fatal(err)
-			}
-			tr = cubecluster.NewClientTransport(c)
-		case "v2":
-			p, err := cubecluster.DialPoolTransport(srv.Addr(), poolSize)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tr = p
-		default:
-			log.Fatalf("unknown codec %q", codec)
+		tr, err := cubecluster.DialPoolTransport(srv.Addr(), poolSize)
+		if err != nil {
+			log.Fatal(err)
 		}
 		transports[s] = []cubecluster.Transport{tr}
 		closers = append(closers, func() { srv.Close(); engine.Close() })

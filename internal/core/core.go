@@ -140,12 +140,6 @@ type Config struct {
 	// Tracer, when set, records one span per task attempt so the run
 	// can be exported as a Chrome trace timeline; nil disables tracing.
 	Tracer *obs.Tracer
-	// FuseOperators controls whether the datacube index tasks compile
-	// their operator chains into fused per-fragment passes
-	// (datacube.Plan) instead of materializing every intermediate cube.
-	// Nil means on (the default); point at false to force the eager
-	// operator-at-a-time execution for comparison runs.
-	FuseOperators *bool
 	// Exchange, when non-nil, routes daily model output through the
 	// in-memory tensor exchange: the ESM task publishes each day's
 	// variables as it writes the file, and the per-year consumers
@@ -218,10 +212,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// fuse reports whether the datacube tasks should use fused plan
-// execution (the default; see Config.FuseOperators).
-func (c Config) fuse() bool { return c.FuseOperators == nil || *c.FuseOperators }
 
 func (c Config) esmConfig() esm.Config {
 	return esm.Config{

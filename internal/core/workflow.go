@@ -352,33 +352,20 @@ func (w *workflow) register() error {
 		},
 	})
 
-	// #6/#7 — daily extrema and anomaly against the resident baseline.
-	// Fused mode folds both operators into one per-fragment pass; the
-	// daily-extremum intermediate never materializes as a cube.
-	fuse := cfg.fuse()
+	// #6/#7 — daily extrema and anomaly against the resident baseline,
+	// folded into one per-fragment pass: the daily-extremum intermediate
+	// never materializes as a cube.
 	dailyAnomaly := func(op string) compss.TaskFunc {
 		return func(args []any) ([]any, error) {
 			temp := args[0].(*datacube.Cube)
 			baseline := args[1].(*datacube.Cube)
-			if fuse {
-				anom, err := temp.Lazy().
-					ReduceGroup(op, esm.StepsPerDay).
-					Intercube(baseline, "sub").
-					Execute()
-				if err != nil {
-					return nil, err
-				}
-				return []any{anom}, nil
-			}
-			daily, err := temp.ReduceGroup(op, esm.StepsPerDay)
+			anom, err := temp.Lazy().
+				ReduceGroup(op, esm.StepsPerDay).
+				Intercube(baseline, "sub").
+				Execute()
 			if err != nil {
 				return nil, err
 			}
-			anom, err := daily.Intercube(baseline, "sub")
-			if err != nil {
-				return nil, err
-			}
-			_ = daily.Delete()
 			return []any{anom}, nil
 		}
 	}
@@ -390,25 +377,13 @@ func (w *workflow) register() error {
 	durationTask := func(runOp string, th float64) compss.TaskFunc {
 		return func(args []any) ([]any, error) {
 			anom := args[0].(*datacube.Cube)
-			if fuse {
-				dur, err := anom.Lazy().
-					Reduce(runOp, th).
-					Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays)).
-					Execute()
-				if err != nil {
-					return nil, err
-				}
-				return []any{dur}, nil
-			}
-			longest, err := anom.Reduce(runOp, th)
+			dur, err := anom.Lazy().
+				Reduce(runOp, th).
+				Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays)).
+				Execute()
 			if err != nil {
 				return nil, err
 			}
-			dur, err := longest.Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays))
-			if err != nil {
-				return nil, err
-			}
-			_ = longest.Delete()
 			return []any{dur}, nil
 		}
 	}
@@ -425,25 +400,13 @@ func (w *workflow) register() error {
 	frequencyTask := func(daysOp string, th float64) compss.TaskFunc {
 		return func(args []any) ([]any, error) {
 			anom := args[0].(*datacube.Cube)
-			if fuse {
-				freq, err := anom.Lazy().
-					Reduce(daysOp, th, float64(p.MinDays)).
-					Apply(fmt.Sprintf("x/%d", p.DaysPerYear)).
-					Execute()
-				if err != nil {
-					return nil, err
-				}
-				return []any{freq}, nil
-			}
-			days, err := anom.Reduce(daysOp, th, float64(p.MinDays))
+			freq, err := anom.Lazy().
+				Reduce(daysOp, th, float64(p.MinDays)).
+				Apply(fmt.Sprintf("x/%d", p.DaysPerYear)).
+				Execute()
 			if err != nil {
 				return nil, err
 			}
-			freq, err := days.Apply(fmt.Sprintf("x/%d", p.DaysPerYear))
-			if err != nil {
-				return nil, err
-			}
-			_ = days.Delete()
 			return []any{freq}, nil
 		}
 	}

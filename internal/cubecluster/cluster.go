@@ -98,7 +98,7 @@ func New(cfg Config, transports [][]Transport) (*Cluster, error) {
 
 // NewLocal builds an in-process cluster: Shards×Replicas engines, each
 // behind an EngineTransport. This is the benchmark and test
-// deployment; production shards would be DialTransport handles.
+// deployment; production shards would be DialPoolTransport handles.
 func NewLocal(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	transports := make([][]Transport, cfg.Shards)

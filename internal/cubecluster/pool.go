@@ -95,19 +95,6 @@ func (p *PoolTransport) Do(req *cubeserver.Request) (*cubeserver.Response, error
 	return c.Do(req)
 }
 
-// Codec reports the negotiated wire codec of the pool's first live
-// connection ("" if none has been dialed yet).
-func (p *PoolTransport) Codec() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		if c != nil {
-			return c.Codec()
-		}
-	}
-	return ""
-}
-
 // Close closes every pooled connection. Idempotent; concurrent Do
 // calls fail with a closed-pool or transport error.
 func (p *PoolTransport) Close() error {

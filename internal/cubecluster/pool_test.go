@@ -41,9 +41,6 @@ func poolCluster(t *testing.T, shards, replicas, poolSize int) (*Cluster, [][]*t
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := tr.Codec(); got != "v2" {
-				t.Fatalf("pool negotiated %q, want v2", got)
-			}
 			transports[s] = append(transports[s], tr)
 		}
 	}
@@ -58,7 +55,7 @@ func poolCluster(t *testing.T, shards, replicas, poolSize int) (*Cluster, [][]*t
 // TestClusterOverV2TCPShards is the cluster equivalence suite on the
 // new wire path: 1/2/4/8 shards behind pooled multiplexed v2
 // transports, at tolerance 0 and eps>0, must reproduce the single
-// engine exactly (DeepEqual) — the same bar the gob path set.
+// engine exactly (DeepEqual).
 func TestClusterOverV2TCPShards(t *testing.T) {
 	// lat=16, lon=4 → 64 rows; every shard split 1/2/4/8 lands part
 	// offsets on multiples of 8, the coarsest-tier block size, so
@@ -98,9 +95,6 @@ func TestClusterV2SentinelIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Codec() != "v2" {
-		t.Fatalf("front negotiated %q", client.Codec())
-	}
 	ghost := cubeserver.NewRemoteCube(client, "cube-404")
 	if _, err := ghost.Apply("x+1"); !errors.Is(err, datacube.ErrNotFound) {
 		t.Fatalf("want ErrNotFound through coordinator over v2, got %v", err)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestClusterOverTCP rebuilds the equivalence check with real
-// cubeserver TCP replicas behind DialTransport, and additionally
+// cubeserver TCP replicas, each reached through one dialed
+// cubeserver.Client used directly as the Transport, and additionally
 // serves the coordinator itself over TCP — client → coordinator →
-// shards, all gob. This pins the new wire fields (Dims, Values,
+// shards, all v2. This pins the shard-plane wire fields (Dims, Values,
 // Partials, ErrCode) through actual encoding.
 func TestClusterOverTCP(t *testing.T) {
 	path := writeClusterFile(t, t.TempDir(), 8, 4, 16)
@@ -31,7 +32,7 @@ func TestClusterOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := DialTransport(srv.Addr())
+		tr, err := cubeserver.Dial(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

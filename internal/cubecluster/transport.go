@@ -59,31 +59,9 @@ func (t *EngineTransport) Do(req *cubeserver.Request) (*cubeserver.Response, err
 // Close is a no-op; the engine is owned by the caller.
 func (t *EngineTransport) Close() error { return nil }
 
-// ClientTransport speaks to a replica over a real cubeserver TCP
-// connection.
-type ClientTransport struct {
-	c *cubeserver.Client
-}
-
-// NewClientTransport wraps a dialed client.
-func NewClientTransport(c *cubeserver.Client) *ClientTransport { return &ClientTransport{c: c} }
-
-// Do performs one request/response exchange.
-func (t *ClientTransport) Do(req *cubeserver.Request) (*cubeserver.Response, error) {
-	return t.c.Do(req)
-}
-
-// Close closes the underlying connection.
-func (t *ClientTransport) Close() error { return t.c.Close() }
-
-// DialTransport connects a ClientTransport to a cubeserver address.
-func DialTransport(addr string) (*ClientTransport, error) {
-	c, err := cubeserver.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientTransport(c), nil
-}
+// A dialed *cubeserver.Client is itself a Transport: one multiplexed
+// TCP connection to a replica (PoolTransport spreads load over several).
+var _ Transport = (*cubeserver.Client)(nil)
 
 // requestBytes estimates the wire size of a request: float payloads at
 // their natural width plus string lengths and a fixed framing

@@ -4,21 +4,18 @@
 // on the server-side, deployed near the HPC or Cloud infrastructure",
 // with a front-end server in front of scalable in-memory I/O servers.
 //
-// Two codecs share the port. Legacy sessions speak gob — one
-// request/response exchange at a time over the connection. New clients
-// open with a 4-byte magic and speak the v2 protocol (wire.go):
-// length-prefixed binary frames carrying request IDs, so many requests
-// pipeline over one multiplexed connection (mux.go) and bulk payloads
-// move as raw float blocks instead of reflected gob. The server sniffs
-// the first byte of each connection to pick the codec, so either
-// client generation works against either server generation. Cubes live
-// server-side; clients hold lightweight handles, exactly as PyOphidia
-// holds Ophidia PIDs.
+// Clients open each connection with a 4-byte magic and speak the v2
+// protocol (wire.go): length-prefixed binary frames carrying request
+// IDs, so many requests pipeline over one multiplexed connection
+// (mux.go) and bulk payloads move as raw float blocks. The magic is a
+// version check that fails loudly on both sides: the server drops any
+// connection that opens with anything else, and Dial errors when the
+// peer does not echo it. Cubes live server-side; clients hold
+// lightweight handles, exactly as PyOphidia holds Ophidia PIDs.
 package cubeserver
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -123,10 +120,12 @@ type Dispatcher interface {
 type srvMetrics struct {
 	protoErrs    *obs.Counter
 	connTimeouts *obs.Counter
-	wireIn       *obs.CounterVec // bytes read, by codec
-	wireOut      *obs.CounterVec // bytes written, by codec
-	conns        *obs.CounterVec // connections negotiated, by codec
-	inflight     *obs.Gauge
+	// The codec label is always "v2"; it is kept so scrapes and
+	// dashboards keyed on it stay valid.
+	wireIn   *obs.CounterVec // bytes read
+	wireOut  *obs.CounterVec // bytes written
+	conns    *obs.CounterVec // connections that passed the version check
+	inflight *obs.Gauge
 }
 
 func newSrvMetrics(reg *obs.Registry) *srvMetrics {
@@ -140,7 +139,7 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 		wireOut: reg.CounterVec("cubeserver_wire_bytes_out_total",
 			"bytes written to client connections", "codec"),
 		conns: reg.CounterVec("cubeserver_conns_total",
-			"client connections accepted, by negotiated codec", "codec"),
+			"client connections accepted after the version check", "codec"),
 		inflight: reg.Gauge("cubeserver_inflight_requests",
 			"requests currently executing in v2 per-connection workers"),
 	}
@@ -149,12 +148,6 @@ func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 // Options tunes a server's connection handling. The zero value asks
 // for defaults everywhere.
 type Options struct {
-	// GobOnly disables v2 negotiation: every connection is treated as a
-	// legacy gob session. A v2 client's magic bytes then fail the gob
-	// decode and the connection drops, which is exactly how a pre-v2
-	// server behaves — the knob exists so mixed-version interop is
-	// testable against a current binary.
-	GobOnly bool
 	// IdleTimeout closes connections with no request activity for this
 	// long (default 2m; negative disables). v2 connections with requests
 	// still executing are not idle and are left alone.
@@ -300,79 +293,35 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(&meteredReader{r: conn, m: mr}, 64<<10)
 	w := &meteredWriter{w: conn, m: mw}
 
-	codec := "gob"
-	if !s.opts.GobOnly {
-		// Sniff the codec from the first byte: gob's leading uvarint is
-		// never zero, so 0x00 can only be the v2 magic.
-		s.armIdle(conn)
-		first, err := br.Peek(1)
-		if err != nil {
-			switch {
-			case isTimeout(err):
-				s.met.connTimeouts.Inc()
-			case !connDone(err):
-				s.met.protoErrs.Inc()
-			}
-			return
+	// Version check: a session must open with the v2 magic. Anything
+	// else — a retired gob client, a port probe, garbage — is dropped
+	// and counted; a peer that hangs up before sending a byte is not.
+	s.armIdle(conn)
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		switch {
+		case isTimeout(err):
+			s.met.connTimeouts.Inc()
+		case !connDone(err): // e.g. a short opening, then hangup
+			s.met.protoErrs.Inc()
 		}
-		if first[0] == wireMagic[0] {
-			var magic [4]byte
-			if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wireMagic {
-				s.met.protoErrs.Inc()
-				return
-			}
-			codec = "v2"
-		}
-	}
-	mr.attach(s.met.wireIn.With(codec))
-	mw.attach(s.met.wireOut.With(codec))
-	s.met.conns.With(codec).Inc()
-
-	if codec == "v2" {
-		// Ack the magic so the client commits to v2, then hand off to the
-		// multiplexed frame loop (wire_server.go).
-		s.armWrite(conn)
-		if _, err := w.Write(wireMagic[:]); err != nil {
-			return
-		}
-		s.handleV2(conn, br, w)
 		return
 	}
-	s.handleGob(conn, br, w)
-}
-
-// handleGob serves one legacy gob session: strictly serial
-// request/response exchanges.
-func (s *Server) handleGob(conn net.Conn, br *bufio.Reader, w io.Writer) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(w)
-	for {
-		s.armIdle(conn)
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			// A clean hangup (EOF) is the normal end of a session. A
-			// deadline expiry means the peer went quiet — idle, or stalled
-			// mid-frame — and is counted as a timeout. Anything else is a
-			// protocol failure: garbage bytes, truncated frame.
-			switch {
-			case isTimeout(err):
-				s.met.connTimeouts.Inc()
-			case !connDone(err):
-				s.met.protoErrs.Inc()
-			}
-			return
-		}
-		resp := s.disp.Dispatch(&req)
-		s.armWrite(conn)
-		if err := enc.Encode(resp); err != nil {
-			if isTimeout(err) {
-				s.met.connTimeouts.Inc()
-			} else {
-				s.met.protoErrs.Inc()
-			}
-			return
-		}
+	if magic != wireMagic {
+		s.met.protoErrs.Inc()
+		return
 	}
+	mr.attach(s.met.wireIn.With("v2"))
+	mw.attach(s.met.wireOut.With("v2"))
+	s.met.conns.With("v2").Inc()
+
+	// Echo the magic so the client commits to the session, then hand
+	// off to the multiplexed frame loop (wire_server.go).
+	s.armWrite(conn)
+	if _, err := w.Write(wireMagic[:]); err != nil {
+		return
+	}
+	s.handleV2(conn, br, w)
 }
 
 func shapeOf(c *datacube.Cube) Shape {
@@ -672,145 +621,58 @@ func importShard(engine *datacube.Engine, req *Request) (*datacube.Cube, bool, e
 	return part, true, nil
 }
 
-// Client is a connection to a Server. It is safe for concurrent use.
-// Against a v2 server the client multiplexes: concurrent Do calls
-// pipeline over one connection instead of queueing on a mutex. Against
-// a legacy server it falls back to gob, serializing requests. After
+// Client is a connection to a Server. It is safe for concurrent use:
+// concurrent Do calls pipeline over one multiplexed connection. After
 // any transport failure the client is poisoned: the stream may be
 // desynced, so the failing call reports the raw transport error once
 // and every later call fails fast with ErrClientBroken instead of
 // decoding a stale frame as its own reply.
 type Client struct {
-	mux *muxConn // non-nil when v2 was negotiated
-
-	// Legacy gob session state. mu serializes exchanges; closeMu guards
-	// Close separately so closing never waits behind an in-flight Do (the
-	// conn teardown is what unblocks it).
-	mu      sync.Mutex
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	err     error // first transport error; latched for the client's lifetime
-	closeMu sync.Mutex
-	closed  bool
+	mux *muxConn
 }
 
-// handshakeTimeout bounds version negotiation; servers answer the
-// magic immediately, so a silent peer this long is not a v2 server.
+// handshakeTimeout bounds the version check; servers echo the magic
+// immediately, so a silent peer this long is not a cube server.
 const handshakeTimeout = 5 * time.Second
 
-// Dial connects to a server, preferring the v2 protocol. The client
-// probes with the 4-byte magic: a v2 server echoes it, a legacy server
-// chokes on it (gob decode failure) and drops the probe connection, in
-// which case the client re-dials speaking gob — so either server
-// generation is reachable with no configuration.
+// Dial connects to a server. It sends the 4-byte magic and requires
+// the server to echo it; a peer that hangs up, answers with anything
+// else or stays silent past handshakeTimeout is not a v2 cube server,
+// and Dial returns an error rather than falling back.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if mux, ok := negotiateV2(conn); ok {
-		return &Client{mux: mux}, nil
-	}
-	return DialGob(addr)
-}
-
-// DialGob connects speaking the legacy gob protocol unconditionally.
-func DialGob(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-// negotiateV2 runs the client side of version negotiation on a fresh
-// connection: send the magic, wait for the echo. Any other outcome —
-// hangup, garbage, or silence past the handshake deadline — burns the
-// probe connection and reports v2 unavailable.
-func negotiateV2(conn net.Conn) (*muxConn, bool) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if _, err := conn.Write(wireMagic[:]); err != nil {
-		conn.Close()
-		return nil, false
-	}
 	var ack [4]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != wireMagic {
+	if _, err = conn.Write(wireMagic[:]); err == nil {
+		_, err = io.ReadFull(conn, ack[:])
+	}
+	if err == nil && ack != wireMagic {
+		err = fmt.Errorf("peer answered % x", ack)
+	}
+	if err != nil {
 		conn.Close()
-		return nil, false
+		return nil, fmt.Errorf("cubeserver: %s is not a v2 cube server: %w", addr, err)
 	}
 	conn.SetDeadline(time.Time{})
-	return newMuxConn(conn), true
-}
-
-// Codec reports which wire protocol the client negotiated ("v2" or
-// "gob").
-func (c *Client) Codec() string {
-	if c.mux != nil {
-		return "v2"
-	}
-	return "gob"
+	return &Client{mux: newMuxConn(conn)}, nil
 }
 
 // Broken reports whether the client has been poisoned by a transport
 // failure (or closed) and needs reconnecting.
-func (c *Client) Broken() bool {
-	if c.mux != nil {
-		return c.mux.broken()
-	}
-	c.closeMu.Lock()
-	closed := c.closed
-	c.closeMu.Unlock()
-	if closed {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil
-}
+func (c *Client) Broken() bool { return c.mux.broken() }
 
 // Close terminates the connection. It is idempotent and safe to call
 // concurrently with in-flight Do calls, which fail with a transport
 // error as the connection tears down.
-func (c *Client) Close() error {
-	if c.mux != nil {
-		return c.mux.close()
-	}
-	c.closeMu.Lock()
-	defer c.closeMu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.mux.close() }
 
 // Do performs one request/response exchange and returns the raw
 // response; server-side failures arrive inside it (see ResponseError).
 // A non-nil error is a transport failure and poisons the client.
-func (c *Client) Do(req *Request) (*Response, error) {
-	if c.mux != nil {
-		return c.mux.do(req)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrClientBroken, c.err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		c.err = err
-		return nil, err
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = errors.New("cubeserver: connection closed")
-		}
-		c.err = err
-		return nil, err
-	}
-	return &resp, nil
-}
+func (c *Client) Do(req *Request) (*Response, error) { return c.mux.do(req) }
 
 func (c *Client) call(req *Request) (*Response, error) {
 	resp, err := c.Do(req)

@@ -4,15 +4,13 @@ package cubeserver
 // by any number of concurrent Do calls. A writer goroutine drains a
 // frame channel and a reader goroutine routes response frames through
 // an in-flight table keyed by request ID, so N callers pipeline their
-// requests instead of queueing on a client mutex the way the legacy
-// gob path does.
+// requests instead of queueing on a client mutex.
 //
 // Failure model: the first transport error poisons the connection.
 // Every call in flight at that moment is aborted with the raw error;
 // if none was, the next Do reports the raw error once. All later calls
-// fail fast with ErrClientBroken — matching the legacy client's
-// semantics, where exactly one caller sees what actually broke and the
-// rest are told to reconnect.
+// fail fast with ErrClientBroken, so at least one caller sees what
+// actually broke and the rest are told to reconnect.
 
 import (
 	"bufio"
@@ -45,6 +43,13 @@ type muxConn struct {
 	err         error // first transport error; latched
 	rawReported bool  // the raw error has been handed to some caller
 	closed      bool
+
+	// Interleaving hooks for tests; nil in production. hookPoisonSend
+	// runs in poison after done is closed and before the raw error is
+	// delivered; hookVerdictWait runs in do just before it blocks for
+	// that delivery.
+	hookPoisonSend  func()
+	hookVerdictWait func()
 }
 
 func newMuxConn(conn net.Conn) *muxConn {
@@ -128,6 +133,9 @@ func (m *muxConn) poison(err error) {
 		close(m.done)
 		m.conn.Close()
 	}
+	if m.hookPoisonSend != nil {
+		m.hookPoisonSend()
+	}
 	for _, ch := range waiters {
 		ch <- muxResult{err: raw}
 	}
@@ -183,17 +191,21 @@ func (m *muxConn) do(req *Request) (*Response, error) {
 	case m.writeCh <- buf:
 	case <-m.done:
 		putBuf(buf)
-		// poison may have drained our entry already; prefer its verdict.
-		select {
-		case res := <-ch:
-			return nil, res.err
-		default:
-		}
 		m.mu.Lock()
-		delete(m.inflight, id)
-		err := m.brokenErrLocked()
+		if _, mine := m.inflight[id]; mine {
+			delete(m.inflight, id)
+			err := m.brokenErrLocked()
+			m.mu.Unlock()
+			return nil, err
+		}
 		m.mu.Unlock()
-		return nil, err
+		// poison drained our entry, so the raw error is on its way; done
+		// can close before it is sent, so wait for it rather than
+		// reporting ErrClientBroken in its place.
+		if m.hookVerdictWait != nil {
+			m.hookVerdictWait()
+		}
+		return nil, (<-ch).err
 	}
 
 	res := <-ch

@@ -89,7 +89,7 @@ func runPipeline(engine *datacube.Engine, req *PipelineRequest) (*datacube.Cube,
 			return nil, fmt.Errorf("pipeline step %d: %w %q", i, ErrUnknownOp, st.Op)
 		}
 		// The last step's output is the pipeline result and is always
-		// retained, so Keep on it is moot — same as the eager semantics.
+		// retained, so Keep on it is moot.
 		if st.Keep && i < len(req.Steps)-1 {
 			plan.Keep()
 		}

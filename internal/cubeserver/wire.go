@@ -2,12 +2,11 @@ package cubeserver
 
 // wire.go is the v2 wire protocol: length-prefixed little-endian
 // binary framing with a hand-rolled codec for Request and Response.
-// The v1 protocol (one gob stream per connection) spends most of its
-// time in reflection and per-value encoding; v2 writes bulk []float64
-// and [][]float32 payloads as raw contiguous byte blocks via
-// math.Float64bits/Float32bits loops into pooled buffers, so encode
-// and decode run at near-memcpy speed with no reflection and no
-// steady-state allocation on the framing path.
+// Reflection-based codecs spend most of their time in per-value
+// encoding; v2 writes bulk []float64 and [][]float32 payloads as raw
+// contiguous byte blocks via math.Float64bits/Float32bits loops into
+// pooled buffers, so encode and decode run at near-memcpy speed with
+// no reflection and no steady-state allocation on the framing path.
 //
 // Frame layout (all integers little-endian):
 //
@@ -18,11 +17,10 @@ package cubeserver
 //
 // Every frame carries a request ID, so N requests can be in flight on
 // one connection at once: the mux client (mux.go) pipelines them and
-// the server answers in completion order. A v2 session is opened by
-// the 4-byte magic {0x00,'C','W','2'}; 0x00 can never begin a gob
-// stream (gob's leading byte-count uvarint is nonzero), which is what
-// makes the server's codec sniff unambiguous (see negotiation in
-// cubeserver.go).
+// the server answers in completion order. A session is opened by the
+// 4-byte magic {0x00,'C','W','2'}, which the server echoes; it is a
+// version check, and either side drops a peer that gets it wrong (see
+// Server.handle and Dial in cubeserver.go).
 //
 // The decoder is fuzz-hardened: every length field is validated
 // against the bytes actually remaining in the frame before any
@@ -39,9 +37,9 @@ import (
 	"repro/internal/datacube"
 )
 
-// wireMagic opens a v2 session. The leading 0x00 is unreachable as the
-// first byte of a gob stream, so a server can sniff the codec from one
-// byte.
+// wireMagic opens a v2 session and is echoed back by the server. The
+// leading 0x00 never begins a gob stream, so a retired gob client is
+// rejected on its first byte.
 var wireMagic = [4]byte{0x00, 'C', 'W', '2'}
 
 const (
@@ -222,7 +220,13 @@ func (d *wireDec) bool() bool {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v != 0
+	if v > 1 {
+		// only 0 and 1 are encodings; accepting others would decode two
+		// distinct frames to the same request
+		d.fail()
+		return false
+	}
+	return v == 1
 }
 
 func (d *wireDec) f64() float64 { return math.Float64frombits(d.u64()) }
@@ -346,7 +350,7 @@ func (d *wireDec) dims() []datacube.Dimension {
 
 // AppendRequestV2 appends the v2 body encoding of req to b and returns
 // the extended slice. Exported (with DecodeRequestV2 and the Response
-// pair) for the root wire-codec benchmark; everything inside the
+// pair) for the root BenchmarkWireCodec; everything inside the
 // package goes through frames.
 func AppendRequestV2(b []byte, req *Request) []byte {
 	b = appendStr(b, req.Op)
@@ -478,7 +482,8 @@ func AppendResponseV2(b []byte, resp *Response) []byte {
 
 // DecodeResponseV2 decodes a v2 response body into resp. Mirroring
 // gob's omitted-zero-value semantics, empty slices and maps decode as
-// nil, so responses round-trip reflect.DeepEqual across either codec.
+// nil, so responses round-trip reflect.DeepEqual against a gob round
+// trip (TestWireCodecGobParity keeps gob as the reference).
 func DecodeResponseV2(b []byte, resp *Response) error {
 	d := &wireDec{b: b}
 	resp.Err = d.str()

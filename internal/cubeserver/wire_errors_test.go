@@ -1,6 +1,8 @@
 package cubeserver
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
@@ -73,8 +75,8 @@ func TestWireErrorUnknownOpSentinel(t *testing.T) {
 
 // TestClientPoisonedAfterTransportError breaks the connection under a
 // live client and demands the first call report the transport failure
-// and every later call fail fast with ErrClientBroken — a desynced gob
-// stream must never serve another request.
+// and every later call fail fast with ErrClientBroken — a desynced
+// frame stream must never serve another request.
 func TestClientPoisonedAfterTransportError(t *testing.T) {
 	engine := datacube.NewEngine(datacube.Config{Servers: 1})
 	defer engine.Close()
@@ -102,9 +104,10 @@ func TestClientPoisonedAfterTransportError(t *testing.T) {
 	}
 }
 
-// TestServerCountsProtocolGarbage feeds raw garbage bytes to the
-// server and checks the proto-error counter moves while the server
-// keeps serving well-formed clients.
+// TestServerCountsProtocolGarbage opens connections that fail the
+// version check — raw garbage bytes, and the gob stream a retired
+// legacy client would send — and checks the server drops and counts
+// each while it keeps serving well-formed clients.
 func TestServerCountsProtocolGarbage(t *testing.T) {
 	engine := datacube.NewEngine(datacube.Config{Servers: 1})
 	defer engine.Close()
@@ -115,21 +118,34 @@ func TestServerCountsProtocolGarbage(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&Request{Op: "ping"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("\xff\xfe this is not gob \x00\x01")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.met.protoErrs.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("proto-error counter never incremented on garbage bytes")
+	for i, opening := range [][]byte{[]byte("\xff\xfe this is not a frame \x00\x01"), legacy.Bytes()} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		// the server hangs up instead of answering
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Fatalf("opening %d: want server hangup, got %d bytes, %v", i, n, err)
+		}
+		conn.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.met.protoErrs.Value() < float64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("opening %d: proto-error counter never incremented", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := srv.met.conns.With("v2").Value(); got != 0 {
+		t.Fatalf("rejected connections counted as v2 sessions: %v", got)
 	}
 
 	client, err := Dial(srv.Addr())

@@ -15,10 +15,11 @@ import (
 	"repro/internal/obs"
 )
 
-// meteredCounter accumulates byte counts locally until the negotiated
-// codec is known, then streams them into the per-codec obs counter.
-// attach happens-before any concurrent use: the server wires counters
-// up right after the sniff, before spawning response workers.
+// meteredCounter accumulates byte counts locally until the connection
+// passes the version check, then streams them into the obs counter, so
+// rejected connections are never billed as v2 traffic. attach
+// happens-before any concurrent use: the server wires counters up right
+// after the check, before spawning response workers.
 type meteredCounter struct {
 	pending int64
 	ctr     *obs.Counter

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +19,10 @@ import (
 )
 
 // These tests pin the v2 wire layer: codec round-trips, gob parity on
-// nil-vs-empty, response routing under heavy multiplexing, mixed-
-// version negotiation, and the server's timeout/garbage accounting.
+// nil-vs-empty (stdlib gob is only the reference there), response
+// routing under heavy multiplexing, the loud version check on both
+// sides, the poisoning contract under forced interleavings, and the
+// server's timeout/garbage accounting.
 
 func fullRequest() *Request {
 	return &Request{
@@ -115,9 +118,121 @@ func TestDecodeStaleFieldsCleared(t *testing.T) {
 }
 
 func TestDialNegotiatesV2(t *testing.T) {
-	client, _ := startServer(t)
-	if got := client.Codec(); got != "v2" {
-		t.Fatalf("default dial negotiated %q, want v2", got)
+	engine := datacube.NewEngine(datacube.Config{Servers: 1})
+	defer engine.Close()
+	reg := obs.NewRegistry()
+	srv, err := ServeDispatcher("127.0.0.1:0", EngineDispatcher(engine), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.met.conns.With("v2").Value(); got != 1 {
+		t.Fatalf("v2 connections = %v, want 1", got)
+	}
+}
+
+// TestDialHandshakeRejectsNonV2Peer points Dial at TCP peers that are
+// not cube servers: one hangs up, one answers the magic with junk and
+// then stays connected. Dial must fail on both, without falling back
+// and without waiting out handshakeTimeout.
+func TestDialHandshakeRejectsNonV2Peer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		peer func(net.Conn)
+	}{
+		{"hangup", func(c net.Conn) { c.Close() }},
+		{"junk", func(c net.Conn) {
+			var probe [4]byte
+			io.ReadFull(c, probe[:])
+			c.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
+			io.Copy(io.Discard, c) // hold the conn open until the client leaves
+			c.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go tc.peer(c)
+				}
+			}()
+			start := time.Now()
+			client, err := Dial(ln.Addr().String())
+			if err == nil {
+				client.Close()
+				t.Fatal("Dial accepted a peer that never echoed the magic")
+			}
+			if d := time.Since(start); d >= handshakeTimeout {
+				t.Fatalf("Dial took %v, not under handshakeTimeout %v", d, handshakeTimeout)
+			}
+		})
+	}
+}
+
+// TestMuxRawErrorWhenDoneBeforeSend pins the poisoning contract under
+// the interleaving where an in-flight Do wakes on done before poison
+// has delivered the raw error to it. The call must still return the raw
+// error, not ErrClientBroken. The mux hooks force that order on every
+// run: poison holds the raw error back until Do has either returned
+// without it or committed to waiting for it.
+func TestMuxRawErrorWhenDoneBeforeSend(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	// No reader or writer loop: nothing drains writeCh, so the Do below
+	// can only leave its send through done.
+	m := &muxConn{
+		conn:     c1,
+		writeCh:  make(chan []byte),
+		done:     make(chan struct{}),
+		inflight: make(map[uint64]chan muxResult),
+	}
+	returned, waiting := make(chan struct{}), make(chan struct{})
+	m.hookVerdictWait = func() { close(waiting) }
+	m.hookPoisonSend = func() {
+		select {
+		case <-returned:
+		case <-waiting:
+		}
+	}
+
+	var got error
+	go func() {
+		defer close(returned)
+		_, got = m.do(&Request{Op: "ping"})
+	}()
+	for {
+		m.mu.Lock()
+		n := len(m.inflight)
+		m.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	raw := errors.New("injected transport failure")
+	m.poison(raw)
+	<-returned
+	if got != raw {
+		t.Fatalf("in-flight call: want the raw transport error, got %v", got)
+	}
+	if _, err := m.do(&Request{Op: "ping"}); !errors.Is(err, ErrClientBroken) {
+		t.Fatalf("later call: want ErrClientBroken, got %v", err)
 	}
 }
 
@@ -127,9 +242,6 @@ func TestDialNegotiatesV2(t *testing.T) {
 // it wrote — response frames must never cross wires.
 func TestMuxConcurrentDo(t *testing.T) {
 	client, _ := startServer(t)
-	if client.Codec() != "v2" {
-		t.Fatalf("want a v2 session, got %q", client.Codec())
-	}
 
 	const workers = 8
 	const iters = 5
@@ -188,10 +300,16 @@ func TestMuxConcurrentDo(t *testing.T) {
 	}
 }
 
-// interopPipelineResult runs a fixed import+pipeline+values against a
-// server through one client and returns the final values.
-func interopPipelineResult(t *testing.T, client *Client, path string) [][]float32 {
-	t.Helper()
+// TestWireSentinelAndPipelineParity runs a fixed import+pipeline over
+// the v2 wire and demands the same values, bit for bit, as the same
+// chain on an in-process engine, plus sentinel identity across the
+// wire.
+func TestWireSentinelAndPipelineParity(t *testing.T) {
+	path := writeTestFile(t, t.TempDir(), "a.nc")
+	client, _ := startServer(t)
+	if _, err := client.call(&Request{Op: "shape", CubeID: "cube-404"}); !errors.Is(err, datacube.ErrNotFound) {
+		t.Fatalf("want ErrNotFound across the v2 wire, got %v", err)
+	}
 	cube, err := client.ImportFiles([]string{path}, "T", "time")
 	if err != nil {
 		t.Fatal(err)
@@ -203,49 +321,23 @@ func interopPipelineResult(t *testing.T, client *Client, path string) [][]float3
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := out.Values()
+	got, err := out.Values()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vals
-}
 
-// TestInteropMixedVersions crosses both client generations with both
-// server generations and demands byte-identical pipeline results, plus
-// sentinel identity on each negotiated path.
-func TestInteropMixedVersions(t *testing.T) {
-	path := writeTestFile(t, t.TempDir(), "a.nc")
-
-	run := func(t *testing.T, gobOnlyServer bool, dial func(string) (*Client, error), wantCodec string) [][]float32 {
-		t.Helper()
-		engine := datacube.NewEngine(datacube.Config{Servers: 2, FragmentsPerCube: 4})
-		srv, err := ServeOptions("127.0.0.1:0", EngineDispatcher(engine), nil, Options{GobOnly: gobOnlyServer})
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { client.Close(); srv.Close(); engine.Close() })
-		if got := client.Codec(); got != wantCodec {
-			t.Fatalf("negotiated %q, want %q", got, wantCodec)
-		}
-		// Sentinels survive whatever codec was negotiated.
-		if _, err := client.call(&Request{Op: "shape", CubeID: "cube-404"}); !errors.Is(err, datacube.ErrNotFound) {
-			t.Fatalf("want ErrNotFound across %s wire, got %v", wantCodec, err)
-		}
-		return interopPipelineResult(t, client, path)
+	local := datacube.NewEngine(datacube.Config{Servers: 2, FragmentsPerCube: 4})
+	defer local.Close()
+	src, err := local.ImportFiles([]string{path}, "T", "time")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	v2v2 := run(t, false, Dial, "v2")
-	v2Gob := run(t, true, Dial, "gob")     // v2 client negotiates down
-	gobV2 := run(t, false, DialGob, "gob") // legacy client, modern server
-	gobGob := run(t, true, DialGob, "gob") // legacy both sides
-	for name, got := range map[string][][]float32{"v2↔gob-only": v2Gob, "gob↔v2": gobV2, "gob↔gob": gobGob} {
-		if !reflect.DeepEqual(got, v2v2) {
-			t.Fatalf("%s diverged from v2↔v2:\ngot  %v\nwant %v", name, got, v2v2)
-		}
+	want, err := src.Lazy().Apply("x*2").ReduceGroup("max", 2).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Values()) {
+		t.Fatalf("wire pipeline diverged from in-process engine:\ngot  %v\nwant %v", got, want.Values())
 	}
 }
 
@@ -400,51 +492,34 @@ func TestIdleTimeoutSparesBusyConns(t *testing.T) {
 // while others are mid-Do, then demands Close idempotency and
 // ErrClientBroken on later use.
 func TestClientCloseConcurrentSafe(t *testing.T) {
-	for _, dial := range []struct {
-		name string
-		fn   func(string) (*Client, error)
-	}{{"v2", Dial}, {"gob", DialGob}} {
-		t.Run(dial.name, func(t *testing.T) {
-			engine := datacube.NewEngine(datacube.Config{Servers: 1})
-			defer engine.Close()
-			srv, err := Serve("127.0.0.1:0", engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			client, err := dial.fn(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := 0; j < 50; j++ {
-						if err := client.Ping(); err != nil {
-							return // the close raced us, as intended
-						}
+	t.Run("v2", func(t *testing.T) {
+		client, _ := startServer(t)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					if err := client.Ping(); err != nil {
+						return // the close raced us, as intended
 					}
-				}()
-			}
-			time.Sleep(time.Millisecond)
-			for i := 0; i < 3; i++ {
-				if err := client.Close(); err != nil {
-					t.Fatalf("close %d: %v", i, err)
 				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		for i := 0; i < 3; i++ {
+			if err := client.Close(); err != nil {
+				t.Fatalf("close %d: %v", i, err)
 			}
-			wg.Wait()
-			if !client.Broken() {
-				t.Fatal("closed client not reported broken")
-			}
-			err = client.Ping()
-			if err == nil {
-				t.Fatal("ping succeeded on closed client")
-			}
-		})
-	}
+		}
+		wg.Wait()
+		if !client.Broken() {
+			t.Fatal("closed client not reported broken")
+		}
+		if err := client.Ping(); !errors.Is(err, ErrClientBroken) {
+			t.Fatalf("ping on closed client: want ErrClientBroken, got %v", err)
+		}
+	})
 }
 
 // FuzzWireFrame throws arbitrary bytes at both v2 body decoders and at
@@ -461,6 +536,11 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	// A frame header claiming more than the body delivers.
 	f.Add(finishFrame(append(beginFrame(nil, frameRequest, 7), 0xba, 0xad)))
+	// A pipeline step whose Keep byte is neither 0 nor 1: a decoder that
+	// read it as true would re-encode a different body.
+	keep := AppendRequestV2(nil, &Request{Pipeline: []PipelineStep{{Keep: true}}})
+	keep[len(keep)-9] = '0' // Keep precedes the 8-byte Tolerance
+	f.Add(keep)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request

@@ -163,42 +163,25 @@ func (c *Cube) Scalar() (float64, error) {
 	return float64(c.rowSlice(0)[0]), nil
 }
 
-// sameShape verifies two cubes align for intercube operations.
-func (c *Cube) sameShape(o *Cube) error {
-	if c.rows != o.rows || c.implicit.Size != o.implicit.Size {
-		return fmt.Errorf("datacube: shape mismatch: %dx%d vs %dx%d",
-			c.rows, c.implicit.Size, o.rows, o.implicit.Size)
+// runOne executes one row-local operator as a single-stage fused pass.
+// It bypasses Plan so errors carry no "plan step" prefix; provenance,
+// cell accounting and Stats().Ops match a one-step plan.
+func (c *Cube) runOne(st planStep) (*Cube, error) {
+	sg, err := compileStage(st, c.rows, c.implicit.Size)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	outs, err := c.engine.fusedPass(c, []stage{sg}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // Apply evaluates an elementwise expression over x (every stored value)
 // and returns the resulting cube — Ophidia's oph_apply/oph_predicate.
 func (c *Cube) Apply(exprSrc string) (*Cube, error) {
-	expr, err := compileCached(exprSrc)
-	if err != nil {
-		return nil, err
-	}
-	e := c.engine
-	out := e.newCube(c.explicit, c.implicit)
-	out.measure = c.measure
-	err = e.mapFragments("apply", out, func(fr *fragment) error {
-		n := c.implicit.Size
-		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			dst := fr.data[r*n : (r+1)*n]
-			for t, v := range src {
-				dst[t] = float32(expr.Eval(float64(v)))
-			}
-		}
-		e.addCells(int64(fr.rowCount * n))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ops.Add(1)
-	return e.register(out, fmt.Sprintf("apply(%s)", exprSrc)), nil
+	return c.runOne(planStep{op: "apply", expr: exprSrc})
 }
 
 // Reduce collapses the implicit axis to one value per row with a named
@@ -212,33 +195,7 @@ func (c *Cube) Reduce(op string, params ...float64) (*Cube, error) {
 // 6-hourly steps into daily statistics. The implicit size must be a
 // multiple of group.
 func (c *Cube) ReduceGroup(op string, group int, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
-	if !ok {
-		return nil, fmt.Errorf("datacube: unknown row op %q (have %v)", op, RowOpNames())
-	}
-	if group <= 0 || c.implicit.Size%group != 0 {
-		return nil, fmt.Errorf("datacube: group %d does not divide implicit length %d", group, c.implicit.Size)
-	}
-	e := c.engine
-	outLen := c.implicit.Size / group
-	out := e.newCube(c.explicit, Dimension{Name: c.implicit.Name, Size: outLen})
-	out.measure = c.measure
-	err := e.mapFragments("reduce", out, func(fr *fragment) error {
-		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			dst := fr.data[r*outLen : (r+1)*outLen]
-			for gidx := 0; gidx < outLen; gidx++ {
-				dst[gidx] = float32(rop(src[gidx*group:(gidx+1)*group], params))
-			}
-		}
-		e.addCells(int64(fr.rowCount * c.implicit.Size))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ops.Add(1)
-	return e.register(out, fmt.Sprintf("reduce(%s,group=%d)", op, group)), nil
+	return c.runOne(planStep{op: "reducegroup", rowOp: op, params: params, group: group})
 }
 
 // ReduceStride reduces interleaved groups along the implicit axis:
@@ -248,71 +205,13 @@ func (c *Cube) ReduceGroup(op string, group int, params ...float64) (*Cube, erro
 // statistic across years — the percentile-climatology primitive of the
 // ETCCDI indices the paper cites for wave definitions.
 func (c *Cube) ReduceStride(op string, stride int, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
-	if !ok {
-		return nil, fmt.Errorf("datacube: unknown row op %q (have %v)", op, RowOpNames())
-	}
-	if stride <= 0 || c.implicit.Size%stride != 0 {
-		return nil, fmt.Errorf("datacube: stride %d does not divide implicit length %d", stride, c.implicit.Size)
-	}
-	e := c.engine
-	groups := c.implicit.Size / stride
-	out := e.newCube(c.explicit, Dimension{Name: c.implicit.Name, Size: stride})
-	out.measure = c.measure
-	err := e.mapFragments("reducestride", out, func(fr *fragment) error {
-		// One sequential pass over src per row transposes all groups into
-		// contiguous runs; the old layout gathered each output position
-		// with stride-sized jumps, re-streaming the row `stride` times
-		// and thrashing the cache for wide strides (e.g. 365-day years).
-		sb := e.getScratch(c.implicit.Size)
-		defer e.putScratch(sb)
-		tb := sb.buf
-		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			dst := fr.data[r*stride : (r+1)*stride]
-			for gidx := 0; gidx < groups; gidx++ {
-				base := gidx * stride
-				for k := 0; k < stride; k++ {
-					tb[k*groups+gidx] = src[base+k]
-				}
-			}
-			for k := 0; k < stride; k++ {
-				dst[k] = float32(rop(tb[k*groups:(k+1)*groups], params))
-			}
-		}
-		e.addCells(int64(fr.rowCount * c.implicit.Size))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ops.Add(1)
-	return e.register(out, fmt.Sprintf("reducestride(%s,%d)", op, stride)), nil
+	return c.runOne(planStep{op: "reducestride", rowOp: op, params: params, group: stride})
 }
 
 // Subset selects the half-open range [lo,hi) along the implicit axis —
 // oph_subset on the array dimension.
 func (c *Cube) Subset(lo, hi int) (*Cube, error) {
-	if lo < 0 || hi > c.implicit.Size || lo >= hi {
-		return nil, fmt.Errorf("datacube: subset [%d,%d) out of range [0,%d)", lo, hi, c.implicit.Size)
-	}
-	e := c.engine
-	out := e.newCube(c.explicit, Dimension{Name: c.implicit.Name, Size: hi - lo})
-	out.measure = c.measure
-	n := hi - lo
-	err := e.mapFragments("subset", out, func(fr *fragment) error {
-		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			copy(fr.data[r*n:(r+1)*n], src[lo:hi])
-		}
-		e.addCells(int64(fr.rowCount * n))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ops.Add(1)
-	return e.register(out, fmt.Sprintf("subset[%d:%d]", lo, hi)), nil
+	return c.runOne(planStep{op: "subset", lo: lo, hi: hi})
 }
 
 // SubsetRows selects the half-open row range [lo,hi) along the leading
@@ -351,35 +250,7 @@ func (c *Cube) SubsetRows(lo, hi int) (*Cube, error) {
 // Intercube combines two aligned cubes elementwise — oph_intercube.
 // op is one of "add", "sub", "mul", "div".
 func (c *Cube) Intercube(o *Cube, op string) (*Cube, error) {
-	if err := c.sameShape(o); err != nil {
-		return nil, err
-	}
-	f, err := intercubeFunc(op)
-	if err != nil {
-		return nil, err
-	}
-	e := c.engine
-	out := e.newCube(c.explicit, c.implicit)
-	out.measure = c.measure
-	n := c.implicit.Size
-	err = e.mapFragments("intercube", out, func(fr *fragment) error {
-		for r := 0; r < fr.rowCount; r++ {
-			row := fr.rowStart + r
-			a := c.rowSlice(row)
-			b := o.rowSlice(row)
-			dst := fr.data[r*n : (r+1)*n]
-			for t := range dst {
-				dst[t] = f(a[t], b[t])
-			}
-		}
-		e.addCells(int64(fr.rowCount * n))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ops.Add(1)
-	return e.register(out, "intercube("+op+")"), nil
+	return c.runOne(planStep{op: "intercube", rowOp: op, other: o})
 }
 
 // AggregateTrailing collapses the trailing explicit dimension by

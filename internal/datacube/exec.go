@@ -10,19 +10,20 @@ import (
 	"repro/internal/obs"
 )
 
-// This file compiles and executes fused passes for plan.go. One fused
-// pass runs a chain of row-local stages over every fragment in a single
+// This file compiles and executes fused passes for plan.go and for the
+// row-local Cube methods, which run as one-stage passes. One fused pass
+// runs a chain of row-local stages over every fragment in a single
 // fan-out: per row, intermediates live in pooled scratch buffers
-// (float32, so rounding matches the eager materialized path bit for
+// (float32, so rounding matches a chain of materialized cubes bit for
 // bit) and only the final stage writes to an allocated output cube.
 
 // stage is one compiled row-local operator of a fused pass.
 type stage struct {
-	desc    string // eager-style provenance fragment
+	desc    string // provenance of the stage run on its own
 	inLen   int    // expected per-row input width
 	outLen  int    // per-row output width
 	scratch int    // extra scratch floats (reducestride transpose)
-	work    int    // cells accounted per row (parity with the eager op)
+	work    int    // cells accounted per row
 	run     func(dst, src, ext []float32, row int)
 }
 
@@ -36,8 +37,7 @@ func rowLocalOp(op string) bool {
 	return false
 }
 
-// intercubeFunc resolves the elementwise arithmetic of oph_intercube;
-// shared by the eager operator and the fused compiler.
+// intercubeFunc resolves the elementwise arithmetic of oph_intercube.
 func intercubeFunc(op string) (func(a, b float32) float32, error) {
 	switch op {
 	case "add":
@@ -53,8 +53,9 @@ func intercubeFunc(op string) (func(a, b float32) float32, error) {
 }
 
 // compileStage validates one row-local step against the incoming shape
-// (rows × inLen) and returns its kernel. Validation messages match the
-// eager operators' so callers see identical errors on either path.
+// (rows × inLen) and returns its kernel. It is the only implementation
+// of the row-local operators: Plan segments and the Cube methods both
+// compile through it.
 func compileStage(st planStep, rows, inLen int) (stage, error) {
 	switch st.op {
 	case "apply":
@@ -274,7 +275,7 @@ func (p *Plan) run(branches []*Plan) ([]*Cube, error) {
 			}
 			continue
 		}
-		// barrier: materialize the pending segment, then run eagerly
+		// barrier: materialize the pending segment, then run the barrier
 		if len(x.pending) > 0 {
 			if err := x.flush(false, 0); err != nil {
 				return x.fail(fmt.Errorf("datacube: plan step %d (%s): %w", i, st.op, err))
@@ -557,7 +558,11 @@ func (e *Engine) fusedPass(src *Cube, prefix []stage, branches [][]stage) ([]*Cu
 			if linear {
 				ow := outs[0].implicit.Size
 				dst := fr.data[r*ow : (r+1)*ow]
-				runChain(prefix, srow, dst, bufA, bufB, ext, row)
+				if len(prefix) == 1 { // one-op pass: skip the chain walk
+					prefix[0].run(dst, srow, ext, row)
+				} else {
+					runChain(prefix, srow, dst, bufA, bufB, ext, row)
+				}
 				continue
 			}
 			base := srow
@@ -583,8 +588,9 @@ func (e *Engine) fusedPass(src *Cube, prefix []stage, branches [][]stage) ([]*Cu
 		sp.EndErr(err)
 		return nil, err
 	}
-	// stage count preserves Ops parity with the eager operator-per-op
-	// accounting; the fragment fan-out count is what fusion shrinks
+	// Ops counts logical operators (one per stage), so a fused chain and
+	// the same ops called one by one report the same Ops; the fragment
+	// fan-out count is what fusion shrinks
 	e.ops.Add(int64(nstages))
 	e.met.fusedPasses.Inc()
 	e.met.fusedStages.Add(float64(nstages))

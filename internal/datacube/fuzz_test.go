@@ -1,6 +1,7 @@
 package datacube
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -28,9 +29,11 @@ func FuzzCompile(f *testing.F) {
 
 // FuzzPlan decodes fuzzer bytes into an operator chain and runs it
 // three ways — exact, Tolerance(0), Tolerance(eps>0) — over the
-// resolution pyramid. Invalid chains must fail identically on every
-// path; valid ones must be bit-identical at eps=0 and within the bound
-// at eps>0. The seed corpus covers tiered subset/aggrows chains.
+// resolution pyramid, plus through the reference evaluator
+// (naive_test.go). Invalid chains must fail on every path; valid ones
+// must match the reference bit for bit when exact or at eps=0 and stay
+// within the bound at eps>0. The seed corpus covers tiered
+// subset/aggrows chains.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(0))                   // apply, exact
 	f.Add([]byte{0x09, 0x00}, uint8(1))             // reduce after apply, eps>0
@@ -60,27 +63,30 @@ func FuzzPlan(f *testing.F) {
 			}
 			return c
 		}
+		var ref []naiveOp
 		build := func(name string) *Plan {
 			p := mk(name).Lazy()
+			ref = ref[:0]
 			for _, b := range prog {
 				op, arg := int(b&7), int(b>>3)
+				ex, rop := exprs[arg%len(exprs)], rops[arg%len(rops)]
 				switch op {
 				case 0:
-					p = p.Apply(exprs[arg%len(exprs)])
+					p, ref = p.Apply(ex), append(ref, nApply(ex))
 				case 1:
-					p = p.Reduce(rops[arg%len(rops)])
+					p, ref = p.Reduce(rop), append(ref, nReduce(rop))
 				case 2:
-					p = p.ReduceGroup(rops[arg%len(rops)], 1+arg%width)
+					p, ref = p.ReduceGroup(rop, 1+arg%width), append(ref, nReduceGroup(rop, 1+arg%width))
 				case 3:
-					p = p.ReduceStride(rops[arg%len(rops)], 1+arg%width)
+					p, ref = p.ReduceStride(rop, 1+arg%width), append(ref, nReduceStride(rop, 1+arg%width))
 				case 4:
-					p = p.Subset(arg%width, width)
+					p, ref = p.Subset(arg%width, width), append(ref, nSubset(arg%width, width))
 				case 5:
-					p = p.AggregateRows(rops[arg%len(rops)])
+					p, ref = p.AggregateRows(rop), append(ref, nAggRows(rop))
 				case 6:
-					p = p.AggregateTrailing(rops[arg%len(rops)])
+					p, ref = p.AggregateTrailing(rop), append(ref, nAggTrailing(rop))
 				case 7:
-					p = p.SubsetRows(arg%8, 8)
+					p, ref = p.SubsetRows(arg%8, 8), append(ref, nSubsetRows(arg%8, 8))
 				}
 			}
 			return p
@@ -90,17 +96,22 @@ func FuzzPlan(f *testing.F) {
 		exact, errExact := build("f-exact").Execute()
 		zero, errZero := build("f-zero").Tolerance(0).Execute()
 		tol, errTol := build("f-tol").Tolerance(eps).Execute()
-		if (errExact == nil) != (errZero == nil) || (errExact == nil) != (errTol == nil) {
-			t.Fatalf("validity diverged: exact=%v zero=%v tol=%v", errExact, errZero, errTol)
+		want, errRef := runNaive(naiveOf(mk("f-ref")), ref...)
+		if len(ref) == 0 {
+			errRef = errors.New("empty plan") // an empty chain has no result
+		}
+		if (errExact == nil) != (errZero == nil) || (errExact == nil) != (errTol == nil) || (errExact == nil) != (errRef == nil) {
+			t.Fatalf("validity diverged: exact=%v zero=%v tol=%v reference=%v", errExact, errZero, errTol, errRef)
 		}
 		if errExact != nil {
 			return
 		}
-		requireSameCube(t, "fuzz-tolerance-zero", zero, exact)
+		requireMatchesNaive(t, "fuzz-exact", exact, want)
+		requireMatchesNaive(t, "fuzz-tolerance-zero", zero, want)
 		if eps > 0 {
 			requireToleranceBound(t, tol, exact, eps)
 		} else {
-			requireSameCube(t, "fuzz-eps0", tol, exact)
+			requireMatchesNaive(t, "fuzz-eps0", tol, want)
 		}
 	})
 }

@@ -98,7 +98,7 @@ func TestAggregateRowsPartialMatchesEagerBitwise(t *testing.T) {
 		}
 		for tt := range row {
 			if float32(p[tt]) != row[tt] {
-				t.Fatalf("%s t=%d: partial %v rounds to %v, eager stored %v", op, tt, p[tt], float32(p[tt]), row[tt])
+				t.Fatalf("%s t=%d: partial %v rounds to %v, AggregateRows stored %v", op, tt, p[tt], float32(p[tt]), row[tt])
 			}
 		}
 		_ = want.Delete()

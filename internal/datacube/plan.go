@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// This file implements the lazy query-plan layer over the eager
+// This file implements the lazy query-plan layer over the Cube
 // operator API. A Plan records the same operator vocabulary the Cube
 // methods and cubeserver.PipelineStep expose, without executing
 // anything; Plan.Execute compiles maximal runs of row-local operators
@@ -21,11 +21,13 @@ import (
 //     consecutive stages chain through per-row scratch buffers.
 //   - barrier (materializing): subsetrows, aggrows, aggtrailing. These
 //     re-shape or combine rows, so the plan materializes the pending
-//     fused prefix into a cube and runs the eager operator.
+//     fused prefix into a cube and runs the barrier's Cube method.
 //
 // Keep marks the preceding step's output as a materialization boundary:
-// the cube is computed, registered and retained, exactly as the eager
-// path would leave it.
+// the cube is computed, registered and retained, exactly as a direct
+// Cube call would leave it. The row-local Cube methods themselves run
+// as one-stage fused passes (Cube.runOne), so each operator has one
+// implementation.
 
 // planStep is one recorded operator application.
 type planStep struct {
@@ -126,7 +128,7 @@ func (p *Plan) AggregateTrailing(op string, params ...float64) *Plan {
 
 // Keep marks the most recent step's output as a materialization
 // boundary: its cube is registered on the engine and retained after
-// Execute, exactly like the eager path's intermediate. Keep on an
+// Execute, exactly like a direct Cube call's result. Keep on an
 // empty plan is an Execute-time error.
 func (p *Plan) Keep() *Plan {
 	if len(p.steps) > 0 {
@@ -166,8 +168,7 @@ func (p *Plan) Len() int { return len(p.steps) }
 // barrier steps and Keep boundaries materialize. Each fused segment is
 // shape-validated before it runs, and a failing plan deletes every
 // unkept intermediate it produced, so errors leave no temporaries
-// behind (cubes already materialized by Keep remain, matching the
-// eager path's semantics).
+// behind (cubes already materialized by Keep remain).
 func (p *Plan) Execute() (*Cube, error) {
 	outs, err := p.run(nil)
 	if err != nil {

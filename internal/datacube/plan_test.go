@@ -47,38 +47,25 @@ func idSet(e *Engine) map[string]bool {
 	return out
 }
 
+// TestPlanLinearMatchesEager runs a four-stage fused chain and compares
+// it bit for bit with the operator-at-a-time reference evaluator
+// (naive_test.go).
 func TestPlanLinearMatchesEager(t *testing.T) {
 	e := newTestEngine(t)
 	src := grid2Cube(t, e, 3, 4, 24)
-
-	// eager reference chain
-	a, err := src.ReduceGroup("max", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bl, err := e.NewCubeFromFunc("base", src.ExplicitDims(), Dimension{Name: "time", Size: 6},
 		func(row, tt int) float32 { return float32(row - tt) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	bseq, err := a.Intercube(bl, "sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cseq, err := bseq.Apply("x>0 ? x : 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cseq.Reduce("sum")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustNaive(t, naiveOf(src),
+		nReduceGroup("max", 4), nIntercube(naiveOf(bl), "sub"), nApply("x>0 ? x : 0"), nReduce("sum"))
 
 	got, err := src.Lazy().ReduceGroup("max", 4).Intercube(bl, "sub").Apply("x>0 ? x : 0").Reduce("sum").Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameCube(t, "linear", got, want)
+	requireMatchesNaive(t, "linear", got, want)
 	if !strings.Contains(got.Description(), "fused(") {
 		t.Fatalf("fused provenance missing: %q", got.Description())
 	}
@@ -111,11 +98,7 @@ func TestPlanKeepMaterializesIntermediate(t *testing.T) {
 	if kept == nil {
 		t.Fatal("kept intermediate not registered")
 	}
-	wantKept, err := src.Apply("x*2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameCube(t, "kept", kept, wantKept)
+	requireMatchesNaive(t, "kept", kept, mustNaive(t, naiveOf(src), nApply("x*2")))
 }
 
 func TestPlanBarrierAndResidency(t *testing.T) {
@@ -129,17 +112,12 @@ func TestPlanBarrierAndResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := src.Apply("x+1")
-	bagg, err := a.AggregateRows("max")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := bagg.Apply("x*10")
-	requireSameCube(t, "barrier", got, want)
+	requireMatchesNaive(t, "barrier", got,
+		mustNaive(t, naiveOf(src), nApply("x+1"), nAggRows("max"), nApply("x*10")))
 
 	var fresh []string
 	for _, id := range e.List() {
-		if !before[id] && id != a.ID() && id != bagg.ID() && id != want.ID() {
+		if !before[id] {
 			fresh = append(fresh, id)
 		}
 	}
@@ -157,9 +135,9 @@ func TestPlanErrorsLeaveNoResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		plan  func() (*Cube, error)
-		eager func() (*Cube, error)
+		name   string
+		plan   func() (*Cube, error)
+		direct func() (*Cube, error)
 	}{
 		{"unknown-rowop",
 			func() (*Cube, error) { return src.Lazy().Reduce("nosuchop").Execute() },
@@ -212,12 +190,12 @@ func TestPlanErrorsLeaveNoResidue(t *testing.T) {
 			if planErr == nil {
 				t.Fatal("plan accepted invalid chain")
 			}
-			_, eagerErr := tc.eager()
-			if eagerErr == nil {
-				t.Fatal("eager accepted invalid chain")
+			_, directErr := tc.direct()
+			if directErr == nil {
+				t.Fatal("direct Cube call accepted invalid chain")
 			}
-			if !strings.Contains(planErr.Error(), eagerErr.Error()) {
-				t.Fatalf("plan error %q does not carry eager error %q", planErr, eagerErr)
+			if !strings.Contains(planErr.Error(), directErr.Error()) {
+				t.Fatalf("plan error %q does not carry the direct call's error %q", planErr, directErr)
 			}
 			after := idSet(e)
 			for id := range after {
@@ -251,6 +229,9 @@ func TestPlanErrorsLeaveNoResidue(t *testing.T) {
 	}
 }
 
+// TestExecuteBranchesMatchesEager runs a shared prefix with three
+// branches as one multi-output pass and compares every output bit for
+// bit with the reference evaluator.
 func TestExecuteBranchesMatchesEager(t *testing.T) {
 	e := newTestEngine(t)
 	src := grid2Cube(t, e, 3, 4, 24)
@@ -259,29 +240,9 @@ func TestExecuteBranchesMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	anom := mustNaive(t, naiveOf(src), nReduceGroup("max", 4), nIntercube(naiveOf(bl), "sub"))
 
-	// eager reference: shared prefix, three consumers
-	daily, err := src.ReduceGroup("max", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anom, err := daily.Intercube(bl, "sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, err := anom.Reduce("max")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := anom.Apply("x>0 ? 1 : 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := m1.Reduce("sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	before := idSet(e)
 	outs, err := src.Lazy().ReduceGroup("max", 4).Intercube(bl, "sub").ExecuteBranches(
 		Branch().Reduce("max"),
 		Branch().Apply("x>0 ? 1 : 0").Reduce("sum"),
@@ -293,24 +254,27 @@ func TestExecuteBranchesMatchesEager(t *testing.T) {
 	if len(outs) != 3 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
-	requireSameCube(t, "branch0", outs[0], w0)
-	requireSameCube(t, "branch1", outs[1], w1)
-	requireSameCube(t, "branch-identity", outs[2], anom)
+	requireMatchesNaive(t, "branch0", outs[0], mustNaive(t, anom, nReduce("max")))
+	requireMatchesNaive(t, "branch1", outs[1], mustNaive(t, anom, nApply("x>0 ? 1 : 0"), nReduce("sum")))
+	requireMatchesNaive(t, "branch-identity", outs[2], anom)
 
-	// the pass must not have materialized the prefix as a cube: only the
-	// three outputs are new relative to the eager chain's registrations
-	if e.met.fusedPasses.Value() < 1 {
-		t.Fatal("fused pass not counted")
+	// one pass, and the prefix never materialized as a cube: only the
+	// three outputs are new
+	if got := len(e.List()) - len(before); got != 3 {
+		t.Fatalf("pass registered %d cubes, want the 3 outputs", got)
 	}
-	if e.met.fusedStages.Value() < 5 {
-		t.Fatalf("fused stages = %v", e.met.fusedStages.Value())
+	if e.met.fusedPasses.Value() != 1 {
+		t.Fatalf("fused passes = %v, want 1", e.met.fusedPasses.Value())
+	}
+	if e.met.fusedStages.Value() != 5 {
+		t.Fatalf("fused stages = %v, want 5", e.met.fusedStages.Value())
 	}
 }
 
-// randStep mutates both representations of one chain the same way.
+// randStep applies one operator to both the plan and the reference.
 type randStep struct {
 	toPlan func(*Plan) *Plan
-	eager  func(*Cube) (*Cube, error)
+	ref    naiveOp
 }
 
 // divisorsOf lists the divisors of n (including 1 and n).
@@ -324,25 +288,25 @@ func divisorsOf(n int) []int {
 	return out
 }
 
-// genStep picks one valid operator for the current eager shape.
-func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
+// genStep picks one valid operator for the current reference shape.
+func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur naive) randStep {
 	t.Helper()
 	exprs := []string{"x*2", "x+1", "x>3 ? 1 : 0", "abs(x)-2", "x/4"}
 	rops := []string{"max", "min", "sum", "avg"}
-	width := cur.ImplicitLen()
+	width := cur.width()
 	for {
 		switch rng.Intn(10) {
 		case 0, 1:
 			ex := exprs[rng.Intn(len(exprs))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.Apply(ex) },
-				eager:  func(c *Cube) (*Cube, error) { return c.Apply(ex) },
+				ref:    nApply(ex),
 			}
 		case 2:
 			op := rops[rng.Intn(len(rops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.Reduce(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.Reduce(op) },
+				ref:    nReduce(op),
 			}
 		case 3:
 			divs := divisorsOf(width)
@@ -350,7 +314,7 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			op := rops[rng.Intn(len(rops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.ReduceGroup(op, g) },
-				eager:  func(c *Cube) (*Cube, error) { return c.ReduceGroup(op, g) },
+				ref:    nReduceGroup(op, g),
 			}
 		case 4:
 			divs := divisorsOf(width)
@@ -358,7 +322,7 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			op := rops[rng.Intn(len(rops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.ReduceStride(op, s) },
-				eager:  func(c *Cube) (*Cube, error) { return c.ReduceStride(op, s) },
+				ref:    nReduceStride(op, s),
 			}
 		case 5:
 			if width < 2 {
@@ -368,10 +332,10 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			hi := lo + 1 + rng.Intn(width-lo)
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.Subset(lo, hi) },
-				eager:  func(c *Cube) (*Cube, error) { return c.Subset(lo, hi) },
+				ref:    nSubset(lo, hi),
 			}
 		case 6:
-			rows := cur.Rows()
+			rows := len(cur.vals)
 			other, err := e.NewCubeFromFunc(fmt.Sprintf("o%d", rng.Int63()),
 				[]Dimension{{Name: "r", Size: rows}},
 				Dimension{Name: "time", Size: width},
@@ -383,26 +347,26 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			op := iops[rng.Intn(len(iops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.Intercube(other, op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.Intercube(other, op) },
+				ref:    nIntercube(naiveOf(other), op),
 			}
 		case 7:
 			op := rops[rng.Intn(len(rops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.AggregateRows(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.AggregateRows(op) },
+				ref:    nAggRows(op),
 			}
 		case 8:
-			dims := cur.ExplicitDims()
+			dims := cur.dims
 			if len(dims) < 2 {
 				continue
 			}
 			op := rops[rng.Intn(len(rops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.AggregateTrailing(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.AggregateTrailing(op) },
+				ref:    nAggTrailing(op),
 			}
 		case 9:
-			dims := cur.ExplicitDims()
+			dims := cur.dims
 			if len(dims) == 0 || dims[0].Size < 2 {
 				continue
 			}
@@ -411,16 +375,17 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			hi := lo + 1 + rng.Intn(lead-lo)
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.SubsetRows(lo, hi) },
-				eager:  func(c *Cube) (*Cube, error) { return c.SubsetRows(lo, hi) },
+				ref:    nSubsetRows(lo, hi),
 			}
 		}
 	}
 }
 
 // TestPlanRandomChainsMatchEager drives ~200 seeded random operator
-// chains through Plan.Execute and step-by-step eager application and
-// requires bitwise-identical outputs, correct Keep materialization
-// counts, and no leaked intermediates.
+// chains through Plan.Execute and through the operator-at-a-time
+// reference evaluator (naive_test.go) and requires bitwise-identical
+// outputs, correct Keep materialization counts, and no leaked
+// intermediates.
 func TestPlanRandomChainsMatchEager(t *testing.T) {
 	e := NewEngine(Config{Servers: 3, FragmentsPerCube: 4})
 	defer e.Close()
@@ -435,14 +400,14 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		delete(baseline, src.ID())
 
 		plan := src.Lazy()
-		eagerCur := src
-		var eagerTemps, others []*Cube
+		ref := naiveOf(src)
+		var others []*Cube
 		var chain []randStep
 		keeps, lastKept := 0, false
 		nsteps := 1 + rng.Intn(6)
 		for s := 0; s < nsteps; s++ {
 			preOthers := idSet(e)
-			st := genStep(t, rng, e, eagerCur)
+			st := genStep(t, rng, e, ref)
 			chain = append(chain, st)
 			for _, id := range e.List() {
 				if !preOthers[id] { // intercube operand created by genStep
@@ -451,14 +416,10 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 				}
 			}
 			plan = st.toPlan(plan)
-			next, err := st.eager(eagerCur)
-			if err != nil {
-				t.Fatalf("case %d step %d: eager: %v", cases, s, err)
+			var err error
+			if ref, err = st.ref(ref); err != nil {
+				t.Fatalf("case %d step %d: %v", cases, s, err)
 			}
-			if eagerCur != src {
-				eagerTemps = append(eagerTemps, eagerCur)
-			}
-			eagerCur = next
 			lastKept = false
 			if rng.Intn(100) < 15 {
 				plan = plan.Keep()
@@ -472,7 +433,7 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: Execute: %v", cases, err)
 		}
-		requireSameCube(t, fmt.Sprintf("case %d", cases), got, eagerCur)
+		requireMatchesNaive(t, fmt.Sprintf("case %d", cases), got, ref)
 
 		var fresh []*Cube
 		for _, id := range e.List() {
@@ -491,8 +452,9 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		}
 
 		// tier-aware replays of the same chain (without Keep marks):
-		// Tolerance(0) must stay bit-identical to the eager reference, and
-		// Tolerance(eps>0) must satisfy the declared bound.
+		// Tolerance(0) must stay bit-identical to the reference, and
+		// Tolerance(eps>0) must satisfy the declared bound around the
+		// exact result (already pinned to the reference above).
 		replay := func() *Plan {
 			p := src.Lazy()
 			for _, st := range chain {
@@ -504,7 +466,7 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: Tolerance(0) replay: %v", cases, err)
 		}
-		requireSameCube(t, fmt.Sprintf("case %d tolerance-zero", cases), got0, eagerCur)
+		requireMatchesNaive(t, fmt.Sprintf("case %d tolerance-zero", cases), got0, ref)
 		_ = got0.Delete()
 
 		eps := []float64{0.05, 0.5}[rng.Intn(2)]
@@ -512,7 +474,7 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: Tolerance(%g) replay: %v", cases, eps, err)
 		}
-		requireToleranceBound(t, gotE, eagerCur, eps)
+		requireToleranceBound(t, gotE, got, eps)
 		_ = gotE.Delete()
 
 		// free everything this case created and verify the engine is back
@@ -520,10 +482,6 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		for _, c := range fresh {
 			_ = c.Delete()
 		}
-		for _, c := range eagerTemps {
-			_ = c.Delete()
-		}
-		_ = eagerCur.Delete()
 		for _, c := range others {
 			_ = c.Delete()
 		}

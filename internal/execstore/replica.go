@@ -177,11 +177,16 @@ func (r *Replica) dispatch(l Lease) {
 	})
 	if err != nil {
 		// Local pool rejected (draining/full race): give the task back
-		// to the store immediately instead of sitting on the lease.
+		// to the store immediately instead of sitting on the lease. A
+		// Kill that closed the pool after this lease was fetched is a
+		// crash like any other: say nothing and let the lease expire.
 		r.mu.Lock()
 		delete(r.local, lease.TaskID)
+		dead := r.killed
 		r.mu.Unlock()
-		r.cfg.Store.Fail(lease, err)
+		if !dead {
+			r.cfg.Store.Fail(lease, err)
+		}
 	}
 }
 

@@ -211,6 +211,30 @@ func TestReplicaSoakKillRestart(t *testing.T) {
 	}
 }
 
+// TestReplicaKilledDispatchStaysSilent replays the soak's rare
+// interleaving deterministically: fetchLoop holds a fresh lease when
+// Kill closes the local queue, so dispatch's submit fails. A killed
+// replica must abandon that lease (it expires and is reclaimed), not
+// report a failure that would burn the task's retry budget.
+func TestReplicaKilledDispatchStaysSilent(t *testing.T) {
+	s := openStore(t, Config{MaxPending: 16, LeaseTTL: time.Hour})
+	r, err := NewReplica(ReplicaConfig{ID: "r", Store: s, Workers: 1,
+		Handler: func(context.Context, TaskView) (json.RawMessage, error) { return json.RawMessage(`"ok"`), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Kill()
+	mustSubmit(t, s, Task{ID: "k-1", Tenant: "x"})
+	ls := s.TryAcquire("r", 1)
+	if len(ls) != 1 {
+		t.Fatalf("acquired %d leases, want 1", len(ls))
+	}
+	r.dispatch(ls[0])
+	if v, _ := s.Get("k-1"); v.State != StateLeased {
+		t.Fatalf("task state after dispatch on a killed replica = %s (err %q), want %s", v.State, v.Err, StateLeased)
+	}
+}
+
 // TestReplicaDrainHandsBackWork verifies graceful shutdown: a draining
 // replica finishes its running tasks and the rest of the backlog stays
 // available to a peer.

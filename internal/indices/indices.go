@@ -102,17 +102,10 @@ type Params struct {
 	StepsPerDay int
 	// DaysPerYear is the length of one year of input in days.
 	DaysPerYear int
-	// Eager forces the original operator-at-a-time execution of the
-	// index pipelines. The default (false) compiles each chain into
-	// fused per-fragment passes (datacube.Plan); both paths produce
-	// byte-for-byte identical cubes and the eager one is kept for
-	// cross-checking and benchmarking the fusion win.
-	Eager bool
 	// Tolerance declares the absolute error accepted on each index
 	// value, enabling coarse-first execution over the input cube's
 	// resolution pyramid (datacube.Plan.Tolerance). Zero (the default)
-	// keeps the fused path byte-identical to exact execution; it is
-	// ignored on the eager path, which is always exact.
+	// keeps the results byte-identical to exact execution.
 	Tolerance float64
 }
 
@@ -226,11 +219,11 @@ func ColdWavesFromCube(temp *datacube.Cube, b *Baseline, p Params) (*Result, err
 
 // wavePipeline is the shared operator chain of the paper's Listing 1:
 // daily extremum → anomaly vs baseline → duration / count / frequency
-// reductions, all fragment-parallel on the datacube engine. By default
-// the chain runs as ONE fused multi-output pass (the shared
-// daily-extremum/anomaly prefix is computed per row into scratch and
-// the three index reductions branch off it); p.Eager selects the
-// original operator-at-a-time execution.
+// reductions, all fragment-parallel on the datacube engine. The chain
+// runs as ONE fused multi-output pass: the shared daily-extremum/anomaly
+// prefix is computed per row into scratch and the three index
+// reductions branch off it, so daily/anomaly intermediates never
+// materialize as cubes.
 func wavePipeline(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bool) (*Result, error) {
 	if temp.ImplicitLen() != p.StepsPerDay*p.DaysPerYear {
 		return nil, fmt.Errorf("indices: input has %d samples, want %d days × %d steps",
@@ -242,23 +235,6 @@ func wavePipeline(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bo
 	if temp.Rows() != baseline.Rows() {
 		return nil, fmt.Errorf("indices: input rows %d != baseline rows %d", temp.Rows(), baseline.Rows())
 	}
-	if p.Eager {
-		return wavePipelineEager(temp, baseline, p, hot)
-	}
-	return wavePipelineFused(temp, baseline, p, hot)
-}
-
-// waveOps resolves the direction-dependent operator names.
-func waveOps(hot bool, p Params) (extremum, runOp, countOp, daysOp string, th float64) {
-	if hot {
-		return "max", "longest_run_above", "count_runs_above", "days_in_runs_above", p.ThresholdK
-	}
-	return "min", "longest_run_below", "count_runs_below", "days_in_runs_below", -p.ThresholdK
-}
-
-// wavePipelineFused runs the whole Listing-1 chain as one fused pass:
-// daily/anomaly intermediates never materialize as cubes.
-func wavePipelineFused(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bool) (*Result, error) {
 	op, runOp, countOp, daysOp, th := waveOps(hot, p)
 	outs, err := temp.Lazy().
 		ReduceGroup(op, p.StepsPerDay).
@@ -279,66 +255,12 @@ func wavePipelineFused(temp *datacube.Cube, baseline *datacube.Cube, p Params, h
 	return &Result{Duration: duration, Number: number, Frequency: frequency}, nil
 }
 
-// wavePipelineEager is the original operator-at-a-time chain, retained
-// as the fused path's cross-check oracle.
-func wavePipelineEager(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bool) (*Result, error) {
-	// Daily extremum over the sub-daily steps (oph_reduce2).
-	op := "max"
-	if !hot {
-		op = "min"
+// waveOps resolves the direction-dependent operator names.
+func waveOps(hot bool, p Params) (extremum, runOp, countOp, daysOp string, th float64) {
+	if hot {
+		return "max", "longest_run_above", "count_runs_above", "days_in_runs_above", p.ThresholdK
 	}
-	daily, err := temp.ReduceGroup(op, p.StepsPerDay)
-	if err != nil {
-		return nil, err
-	}
-	defer daily.Delete()
-
-	// Anomaly against the (already resident) baseline.
-	anom, err := daily.Intercube(baseline, "sub")
-	if err != nil {
-		return nil, err
-	}
-	defer anom.Delete()
-
-	runOp, countOp, daysOp := "longest_run_above", "count_runs_above", "days_in_runs_above"
-	th := p.ThresholdK
-	if !hot {
-		runOp, countOp, daysOp = "longest_run_below", "count_runs_below", "days_in_runs_below"
-		th = -p.ThresholdK
-	}
-
-	// (i) longest duration, zeroed when below the minimum length.
-	longest, err := anom.Reduce(runOp, th)
-	if err != nil {
-		return nil, err
-	}
-	duration, err := longest.Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays))
-	if err != nil {
-		return nil, err
-	}
-	_ = longest.Delete()
-	duration.SetMeta("index", indexName(hot, "duration"))
-
-	// (ii) number of qualifying waves.
-	number, err := anom.Reduce(countOp, th, float64(p.MinDays))
-	if err != nil {
-		return nil, err
-	}
-	number.SetMeta("index", indexName(hot, "number"))
-
-	// (iii) frequency: qualifying wave days / year length.
-	waveDays, err := anom.Reduce(daysOp, th, float64(p.MinDays))
-	if err != nil {
-		return nil, err
-	}
-	frequency, err := waveDays.Apply(fmt.Sprintf("x/%d", p.DaysPerYear))
-	if err != nil {
-		return nil, err
-	}
-	_ = waveDays.Delete()
-	frequency.SetMeta("index", indexName(hot, "frequency"))
-
-	return &Result{Duration: duration, Number: number, Frequency: frequency}, nil
+	return "min", "longest_run_below", "count_runs_below", "days_in_runs_below", -p.ThresholdK
 }
 
 func indexName(hot bool, kind string) string {

@@ -145,9 +145,9 @@ type PercentileResult struct {
 
 // ETCCDI computes the percentile indices from a sub-daily temperature
 // cube, following the standard definitions (6-day minimum spells). Like
-// wavePipeline it defaults to fused execution — one multi-output pass
-// per temperature side, with the daily-extremum/anomaly prefix kept in
-// scratch — and p.Eager selects the operator-at-a-time original.
+// wavePipeline it runs each temperature side (warm vs TX90, cold vs
+// TN10) as one fused two-output pass, with the daily-extremum/anomaly
+// prefix kept in scratch.
 func ETCCDI(temp *datacube.Cube, b *PercentileBaseline, p Params) (*PercentileResult, error) {
 	p = p.Defaults()
 	if temp.ImplicitLen() != p.StepsPerDay*p.DaysPerYear {
@@ -157,15 +157,6 @@ func ETCCDI(temp *datacube.Cube, b *PercentileBaseline, p Params) (*PercentileRe
 	if b.TX90.ImplicitLen() != p.DaysPerYear {
 		return nil, fmt.Errorf("indices: percentile baseline has %d days, want %d", b.TX90.ImplicitLen(), p.DaysPerYear)
 	}
-	if p.Eager {
-		return etccdiEager(temp, b, p)
-	}
-	return etccdiFused(temp, b, p)
-}
-
-// etccdiFused runs each temperature side (warm vs TX90, cold vs TN10)
-// as one fused two-output pass.
-func etccdiFused(temp *datacube.Cube, b *PercentileBaseline, p Params) (*PercentileResult, error) {
 	out := &PercentileResult{}
 	side := func(extremum string, pct *datacube.Cube, countOp, runsOp string) (frac, sdi *datacube.Cube, err error) {
 		outs, err := temp.Lazy().
@@ -192,62 +183,6 @@ func etccdiFused(temp *datacube.Cube, b *PercentileBaseline, p Params) (*Percent
 		return nil, err
 	}
 	out.TN10p.SetMeta("index", "TN10p")
-	out.CSDI.SetMeta("index", "CSDI")
-	return out, nil
-}
-
-// etccdiEager is the original operator-at-a-time chain, retained as the
-// fused path's cross-check oracle.
-func etccdiEager(temp *datacube.Cube, b *PercentileBaseline, p Params) (*PercentileResult, error) {
-	out := &PercentileResult{}
-	// warm side: daily max vs TX90
-	dmax, err := temp.ReduceGroup("max", p.StepsPerDay)
-	if err != nil {
-		return nil, err
-	}
-	defer dmax.Delete()
-	warmAnom, err := dmax.Intercube(b.TX90, "sub")
-	if err != nil {
-		return nil, err
-	}
-	defer warmAnom.Delete()
-	warmDays, err := warmAnom.Reduce("count_above", 0)
-	if err != nil {
-		return nil, err
-	}
-	if out.TX90p, err = warmDays.Apply(fmt.Sprintf("x/%d", p.DaysPerYear)); err != nil {
-		return nil, err
-	}
-	_ = warmDays.Delete()
-	out.TX90p.SetMeta("index", "TX90p")
-	if out.WSDI, err = warmAnom.Reduce("days_in_runs_above", 0, float64(p.MinDays)); err != nil {
-		return nil, err
-	}
-	out.WSDI.SetMeta("index", "WSDI")
-
-	// cold side: daily min vs TN10
-	dmin, err := temp.ReduceGroup("min", p.StepsPerDay)
-	if err != nil {
-		return nil, err
-	}
-	defer dmin.Delete()
-	coldAnom, err := dmin.Intercube(b.TN10, "sub")
-	if err != nil {
-		return nil, err
-	}
-	defer coldAnom.Delete()
-	coldDays, err := coldAnom.Reduce("count_below", 0)
-	if err != nil {
-		return nil, err
-	}
-	if out.TN10p, err = coldDays.Apply(fmt.Sprintf("x/%d", p.DaysPerYear)); err != nil {
-		return nil, err
-	}
-	_ = coldDays.Delete()
-	out.TN10p.SetMeta("index", "TN10p")
-	if out.CSDI, err = coldAnom.Reduce("days_in_runs_below", 0, float64(p.MinDays)); err != nil {
-		return nil, err
-	}
 	out.CSDI.SetMeta("index", "CSDI")
 	return out, nil
 }

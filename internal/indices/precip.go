@@ -112,8 +112,7 @@ func (r *PrecipResult) Delete() {
 // the results byte-identical to exact execution. The three
 // unconditional reductions run as one fused three-output pass over
 // daily, and R95pTOT as one fused linear chain (its mask/wet-day
-// intermediates never materialize); precipIndicesEager is the
-// operator-at-a-time original, kept as the cross-check oracle.
+// intermediates never materialize).
 func PrecipIndices(daily *datacube.Cube, p95 *datacube.Cube, tolerance ...float64) (*PrecipResult, error) {
 	var tol float64
 	if len(tolerance) > 0 {
@@ -146,56 +145,6 @@ func PrecipIndices(daily *datacube.Cube, p95 *datacube.Cube, tolerance ...float6
 			Reduce("sum").
 			Tolerance(tol).
 			Execute(); err != nil {
-			out.Delete()
-			return nil, err
-		}
-		out.R95pTOT.SetMeta("index", "R95pTOT")
-	}
-	return out, nil
-}
-
-// precipIndicesEager is the original operator-at-a-time implementation.
-func precipIndicesEager(daily *datacube.Cube, p95 *datacube.Cube) (*PrecipResult, error) {
-	out := &PrecipResult{}
-	var err error
-	if out.PRCPTOT, err = daily.Reduce("sum"); err != nil {
-		return nil, err
-	}
-	out.PRCPTOT.SetMeta("index", "PRCPTOT")
-	if out.Rx1day, err = daily.Reduce("max"); err != nil {
-		return nil, err
-	}
-	out.Rx1day.SetMeta("index", "Rx1day")
-	if out.CDD, err = daily.Reduce("longest_run_below", WetDayThresholdMMDay); err != nil {
-		return nil, err
-	}
-	out.CDD.SetMeta("index", "CDD")
-
-	if p95 != nil {
-		if daily.ImplicitLen() != p95.ImplicitLen() {
-			out.Delete()
-			return nil, fmt.Errorf("indices: daily has %d days, baseline %d", daily.ImplicitLen(), p95.ImplicitLen())
-		}
-		// mask of very wet days, then total their precipitation
-		anom, err := daily.Intercube(p95, "sub")
-		if err != nil {
-			out.Delete()
-			return nil, err
-		}
-		defer anom.Delete()
-		mask, err := anom.Apply("x>0 ? 1 : 0")
-		if err != nil {
-			out.Delete()
-			return nil, err
-		}
-		defer mask.Delete()
-		wet, err := mask.Intercube(daily, "mul")
-		if err != nil {
-			out.Delete()
-			return nil, err
-		}
-		defer wet.Delete()
-		if out.R95pTOT, err = wet.Reduce("sum"); err != nil {
 			out.Delete()
 			return nil, err
 		}

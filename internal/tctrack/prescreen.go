@@ -29,7 +29,7 @@ type Params struct {
 	Criteria Criteria
 	// Tolerance is the per-value error bound granted to the stripe plan
 	// (datacube.Plan.Tolerance). Zero keeps the prescreen exact: the
-	// stripe pass is byte-identical to eager execution.
+	// stripe pass is byte-identical to exact execution.
 	Tolerance float64
 	// MarginPa widens the candidate gate below MinDepressionPa to absorb
 	// the gap between the ring-local mean (what detection compares
