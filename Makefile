@@ -33,10 +33,11 @@ race-exchange:
 		./internal/texchange/ ./internal/ml/ ./internal/core/ ./internal/stream/
 
 # focused race gate over the replicated control plane: lease fencing,
-# fair-share dispatch, shed taxonomy, replica kill/restart soak and the
-# stateless HTTP frontends sharing one store
+# fair-share dispatch, shed taxonomy, replica kill/restart soak, the
+# stateless HTTP frontends sharing one store and the HTTP concurrency
+# suites (parallel submitters, retention eviction, cancel)
 race-replica:
-	$(GO) test -race -count=1 -run 'Lease|Fenc|Reclaim|Shed|FairShare|Starvation|WeightedShares|IdleTenant|Replica|Frontend|Journal' \
+	$(GO) test -race -count=1 -run 'Lease|Fenc|Reclaim|Shed|FairShare|Starvation|WeightedShares|IdleTenant|Replica|Frontend|Journal|APIStress|Retention|CancelEndpoint' \
 		./internal/execstore/ ./internal/hpcwaas/
 
 # focused race gate over the sharded datacube cluster and its wire
@@ -102,7 +103,7 @@ experiments:
 # race detector, then the end-to-end crash/resume driver (see DESIGN.md
 # "Failure model & recovery")
 chaos:
-	$(GO) test -race -run 'Chaos|Injected|Retry|Timeout|Breaker|Corrupt|Torn' ./internal/chaos/ ./internal/compss/ ./internal/dls/ ./internal/multisite/ ./internal/execq/ ./internal/execstore/ ./internal/core/
+	$(GO) test -race -run 'Chaos|Injected|Retry|Timeout|Breaker|Corrupt|Torn' ./internal/chaos/ ./internal/compss/ ./internal/dls/ ./internal/multisite/ ./internal/execstore/ ./internal/core/
 	$(GO) run ./cmd/chaosrun
 	$(GO) run ./cmd/chaosrun -mode replica
 

@@ -26,6 +26,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -40,7 +41,7 @@ import (
 	"repro/internal/cubeserver"
 	"repro/internal/datacube"
 	"repro/internal/esm"
-	"repro/internal/execq"
+	"repro/internal/execstore"
 	"repro/internal/grid"
 	"repro/internal/indices"
 	"repro/internal/ml"
@@ -903,32 +904,39 @@ func BenchmarkESMHandoff(b *testing.B) {
 	})
 }
 
-// BenchmarkExecQueueThroughput measures the HPCWaaS execution queue's
-// job throughput across a worker-pool sweep (the admission-control
-// subsystem in front of the Execution API): no-op jobs isolate the
-// queue's own dispatch overhead.
-func BenchmarkExecQueueThroughput(b *testing.B) {
+// BenchmarkReplicaThroughput measures the HPCWaaS executor path's task
+// throughput across a worker-pool sweep: one execstore.Store and one
+// Replica running a no-op handler, so the numbers isolate admission,
+// lease dispatch, the local pool and the completion report.
+func BenchmarkReplicaThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			q, err := execq.New(execq.Config{Workers: workers, QueueDepth: b.N + workers})
+			s, err := execstore.Open(execstore.Config{MaxPending: b.N + workers, Retention: b.N + workers})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer q.Close()
-			run := func(ctx context.Context) error { return nil }
+			defer s.Close()
+			rep, err := execstore.NewReplica(execstore.ReplicaConfig{
+				ID: "bench", Store: s, Workers: workers,
+				Handler: func(context.Context, execstore.TaskView) (json.RawMessage, error) { return nil, nil },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rep.Kill()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := q.Submit(execq.Job{Run: run}); err != nil {
+				if _, err := s.Submit(execstore.Task{Kind: "noop"}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			if err := q.WaitIdle(ctx); err != nil {
+			if err := s.WaitIdle(ctx); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 		})
 	}
 }

@@ -7,20 +7,27 @@
 //	curl -X POST localhost:8700/api/workflows/climate-extremes/deploy -d '{"target":"zeus"}'
 //	curl -X POST localhost:8700/api/executions \
 //	     -d '{"workflow":"climate-extremes","params":{"years":"1","days_per_year":"12"}}'
-//	curl localhost:8700/api/executions/exec-1
-//	curl localhost:8700/api/queue
-//	curl -X DELETE localhost:8700/api/executions/exec-1
+//	curl localhost:8700/api/executions/task-1
+//	curl localhost:8700/api/store
+//	curl -X DELETE localhost:8700/api/executions/task-1
 //
-// Executions flow through a bounded multi-tenant queue
-// (internal/execq): admission control answers 429 + Retry-After under
-// overload, -journal persists queued/running work across restarts, and
-// SIGINT/SIGTERM trigger a graceful drain before exit.
+// Every execution lives in one epoch-fenced execution store
+// (internal/execstore) served by -replicas stateless API replicas
+// (default 1); replica i listens on the -addr port + i, embeds an
+// executor with -workers slots, and answers for any execution. All
+// replicas share one deployer, so a deployment made through any of them
+// unlocks submissions on all. Admission sheds answer 503 when capacity
+// is the bottleneck (-queue-depth, -max-wait, draining) and 429 when the
+// tenant is (-quota, -rate), both with Retry-After and a precise
+// retry_after_ms. -journal persists pending work across restarts, and
+// SIGINT/SIGTERM stop intake, finish the backlog (up to -drain-timeout)
+// and exit.
 //
 // GET /metrics serves the Prometheus text exposition of the whole
-// stack — queue depth and latency histograms, per-task-kind runtime
-// counters, datacube operator timings, federation transfer/breaker
-// state. -debug-addr additionally serves net/http/pprof on a separate
-// loopback listener for live profiling.
+// stack — store depth, shed counters and latency histograms, per-task-
+// kind runtime counters, datacube operator timings, federation
+// transfer/breaker state. -debug-addr additionally serves net/http/pprof
+// on a separate loopback listener for live profiling.
 package main
 
 import (
@@ -28,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -42,6 +50,7 @@ import (
 	"repro/internal/datacube"
 	"repro/internal/dls"
 	"repro/internal/esm"
+	"repro/internal/execstore"
 	"repro/internal/grid"
 	"repro/internal/hpcwaas"
 	"repro/internal/imagebuilder"
@@ -53,21 +62,22 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8700", "listen address")
+		addr       = flag.String("addr", "127.0.0.1:8700", "listen address of replica 0; replica i listens on this port + i")
 		work       = flag.String("work", "", "working directory (default: temp)")
-		workers    = flag.Int("workers", 4, "execution worker-pool size")
-		queueDepth = flag.Int("queue-depth", 256, "max queued executions before 429")
-		quota      = flag.Int("quota", 0, "per-principal live-execution quota (0 = queue depth)")
-		rate       = flag.Float64("rate", 0, "per-principal executions/sec token-bucket rate (0 = off)")
+		workers    = flag.Int("workers", 4, "executor slots per replica")
+		queueDepth = flag.Int("queue-depth", 256, "max pending executions before 503")
+		quota      = flag.Int("quota", 0, "per-principal live-execution quota before 429 (0 = off)")
+		rate       = flag.Float64("rate", 0, "per-principal executions/sec token-bucket rate before 429 (0 = off)")
 		retention  = flag.Int("retention", 1024, "completed execution records to retain")
 		journal    = flag.String("journal", "", "journal file for crash recovery (default: off)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight executions on shutdown")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; default: off)")
-		replicas   = flag.Int("replicas", 1, "API replicas over a shared execution store; replica i listens on the -addr port + i (1 = classic single service)")
-		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "work-lease TTL in replica mode; a dead replica's tasks are reclaimed after this")
-		maxWait    = flag.Duration("max-wait", 0, "replica mode: shed submissions whose estimated queue wait exceeds this (0 = off)")
+		replicas   = flag.Int("replicas", 1, "API replicas over the shared execution store")
+		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "work-lease TTL; a dead replica's tasks are reclaimed after this")
+		maxWait    = flag.Duration("max-wait", 0, "shed submissions with 503 once their estimated queue wait exceeds this (0 = off)")
 	)
 	flag.Parse()
+	*replicas = max(*replicas, 1)
 
 	workDir := *work
 	if workDir == "" {
@@ -77,11 +87,19 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	host, portStr, err := net.SplitHostPort(*addr)
+	if err != nil {
+		log.Fatalf("-addr %q: %v", *addr, err)
+	}
+	basePort, err := strconv.Atoi(portStr)
+	if err != nil {
+		log.Fatalf("-addr %q: need a numeric port: %v", *addr, err)
+	}
 
-	// One registry carries the whole stack's instruments: execq (wired
-	// by the service), plus the workflow-runtime, datacube, federation
-	// and DLS families, primed here so GET /metrics shows the complete
-	// surface from the first scrape.
+	// One registry carries the whole stack's instruments: the store's
+	// execstore_* families, plus the workflow-runtime, datacube,
+	// federation and DLS families, primed here so GET /metrics shows the
+	// complete surface from the first scrape.
 	metrics := obs.NewRegistry()
 	compss.PrimeMetrics(metrics)
 	datacube.PrimeMetrics(metrics)
@@ -99,12 +117,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *replicas > 1 {
-		runReplicated(*addr, *replicas, registry, metrics, *leaseTTL, *maxWait,
-			*workers, *queueDepth, *quota, *retention, *rate, *journal, *drainWait)
-		return
-	}
-
 	deployer := hpcwaas.NewDeployer(nil, nil, imagebuilder.Platform{Arch: "x86_64", MPI: "openmpi4"})
 	catalogDir := filepath.Join(workDir, "catalog")
 	os.MkdirAll(catalogDir, 0o755)
@@ -115,14 +127,15 @@ func main() {
 		Steps: []dls.Step{{Kind: "stage_in", Dataset: "climatology", Dir: filepath.Join(workDir, "staged")}},
 	}
 
-	svc, err := hpcwaas.NewServiceWith(registry, deployer, hpcwaas.ServiceConfig{
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		PerPrincipalLimit: *quota,
-		RatePerSec:        *rate,
-		Retention:         *retention,
-		JournalPath:       *journal,
-		Metrics:           metrics,
+	store, err := execstore.Open(execstore.Config{
+		MaxPending:       *queueDepth,
+		PerTenantLimit:   *quota,
+		RatePerSec:       *rate,
+		MaxEstimatedWait: *maxWait,
+		LeaseTTL:         *leaseTTL,
+		Retention:        *retention,
+		JournalPath:      *journal,
+		Metrics:          metrics,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -140,11 +153,29 @@ func main() {
 		}()
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	fmt.Printf("HPCWaaS service on http://%s (workdir %s, %d workers, depth %d)\n",
-		*addr, workDir, *workers, *queueDepth)
+	servers := make([]*http.Server, *replicas)
+	fronts := make([]*hpcwaas.Frontend, *replicas)
+	errCh := make(chan error, *replicas)
+	for i := range fronts {
+		f, err := hpcwaas.NewFrontend(hpcwaas.FrontendConfig{
+			ID:       fmt.Sprintf("replica-%d", i),
+			Store:    store,
+			Registry: registry,
+			Deployer: deployer,
+			Workers:  *workers,
+			Metrics:  metrics,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fronts[i] = f
+		replicaAddr := net.JoinHostPort(host, strconv.Itoa(basePort+i))
+		srv := &http.Server{Addr: replicaAddr, Handler: f.Handler()}
+		servers[i] = srv
+		go func() { errCh <- srv.ListenAndServe() }()
+		fmt.Printf("HPCWaaS replica %d on http://%s (workdir %s, %d workers, depth %d, lease TTL %s)\n",
+			i, replicaAddr, workDir, *workers, *queueDepth, *leaseTTL)
+	}
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -154,19 +185,27 @@ func main() {
 	case <-sigCtx.Done():
 	}
 
-	// Graceful shutdown: stop listening, drain in-flight executions,
-	// then force-close whatever is left.
-	log.Printf("signal received: draining (up to %s)", *drainWait)
+	// Graceful shutdown: stop listening and intake, let the executors
+	// finish the backlog, then stop them and close the store.
+	log.Printf("signal received: draining %d replica(s) (up to %s)", *replicas, *drainWait)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if err := server.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
+	for i, srv := range servers {
+		if err := srv.Shutdown(ctx); err != nil {
+			log.Printf("replica %d http shutdown: %v", i, err)
+		}
 	}
-	if err := svc.Drain(ctx); err != nil {
-		log.Printf("drain incomplete: %v", err)
+	store.Drain()
+	if err := store.WaitIdle(ctx); err != nil {
+		log.Printf("store drain incomplete: %v", err)
 	}
-	if err := svc.Close(); err != nil {
-		log.Printf("close: %v", err)
+	for i, f := range fronts {
+		if err := f.Drain(ctx); err != nil {
+			log.Printf("replica %d drain: %v", i, err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		log.Printf("store close: %v", err)
 	}
 	log.Printf("shutdown complete")
 }

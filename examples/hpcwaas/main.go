@@ -1,13 +1,14 @@
 // Hpcwaas walks the full HPC-Workflows-as-a-Service lifecycle of the
-// paper's Figure 1 against a live REST service — now with the bounded
-// multi-tenant execution queue in front of the workers: the developer
-// registers the climate-extremes workflow with its TOSCA topology; the
-// deployer (Yorc role) builds container images and stages data; the
-// final user then drives everything over plain HTTP: submissions past
-// the admission limit bounce with 429 + Retry-After, accepted ones are
-// observable through QUEUED → RUNNING → DONE, a queued execution is
-// cancelled mid-flight, GET /api/queue exposes depth and latency, and
-// the service drains cleanly at the end.
+// paper's Figure 1 against a live REST service: the developer registers
+// the climate-extremes workflow with its TOSCA topology; the deployer
+// (Yorc role) builds container images and stages data; the final user
+// then drives everything over plain HTTP. Executions live in an
+// epoch-fenced execution store with a small admission budget, so a
+// submission past the user's quota bounces with 429 + Retry-After,
+// accepted ones are observable through QUEUED → RUNNING → DONE, a queued
+// execution is cancelled before it starts, GET /api/store exposes the
+// store's counters and latency, and the service drains cleanly at the
+// end.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dls"
 	"repro/internal/esm"
+	"repro/internal/execstore"
 	"repro/internal/grid"
 	"repro/internal/hpcwaas"
 	"repro/internal/imagebuilder"
@@ -64,17 +66,21 @@ func main() {
 		Steps: []dls.Step{{Kind: "stage_in", Dataset: "climatology", Dir: filepath.Join(workDir, "staged")}},
 	}
 
-	// A deliberately tiny queue so admission control is visible: one
-	// worker, two queued slots, at most three live executions per user.
-	svc, err := hpcwaas.NewServiceWith(registry, deployer, hpcwaas.ServiceConfig{
-		Workers: 1, QueueDepth: 2, PerPrincipalLimit: 3,
+	// A deliberately tiny budget so admission control is visible: one
+	// executor slot and at most three live executions per user.
+	store, err := execstore.Open(execstore.Config{MaxPending: 2, PerTenantLimit: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	svc, err := hpcwaas.NewFrontend(hpcwaas.FrontendConfig{
+		ID: "api-0", Store: store, Registry: registry, Deployer: deployer, Workers: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	server := httptest.NewServer(svc.Handler())
 	defer server.Close()
-	fmt.Printf("HPCWaaS execution API listening at %s (1 worker, queue depth 2)\n\n", server.URL)
+	fmt.Printf("HPCWaaS execution API listening at %s (1 worker, quota 3 per user)\n\n", server.URL)
 
 	// --- user side: pure REST from here on -------------------------------
 	var workflows []map[string]any
@@ -87,7 +93,8 @@ func main() {
 	fmt.Printf("POST .../deploy -> %s on %s (%s)\n\n", dep["ID"], dep["Target"], dep["Status"])
 
 	// Submit four executions back to back. The first occupies the lone
-	// worker, two wait in the queue, and the fourth is turned away.
+	// worker, the next two wait their turn, and the fourth exceeds the
+	// user's quota of three live executions.
 	params := map[string]string{"years": "1", "days_per_year": "12", "seed": "42"}
 	var ids []string
 	for i := 1; i <= 4; i++ {
@@ -99,17 +106,16 @@ func main() {
 			ids = append(ids, ex["id"].(string))
 			fmt.Printf("POST /api/executions #%d -> 202 %s (%s)\n", i, ex["id"], ex["status"])
 		} else {
-			fmt.Printf("POST /api/executions #%d -> %d %v (Retry-After: %ss)\n",
-				i, code, ex["error"], headers.Get("Retry-After"))
+			fmt.Printf("POST /api/executions #%d -> %d %v (Retry-After: %ss, retry_after_ms %v)\n",
+				i, code, ex["shed_reason"], headers.Get("Retry-After"), ex["retry_after_ms"])
 		}
 	}
 
-	// The queue endpoint shows where everything sits.
+	// The store endpoint shows where everything sits.
 	var stats map[string]any
-	getJSON(server.URL+"/api/queue", &stats)
-	fmt.Printf("\nGET /api/queue -> depth %v/%v, running %v, rejected(full+quota) %v\n",
-		stats["depth"], stats["capacity"], stats["running"],
-		asFloat(stats["rejected_full"])+asFloat(stats["rejected_quota"]))
+	getJSON(server.URL+"/api/store", &stats)
+	fmt.Printf("\nGET /api/store -> pending %v, leased %v, shed %v\n",
+		stats["pending"], stats["leased"], stats["shed"])
 
 	// Cancel the last accepted execution while it still waits its turn.
 	last := ids[len(ids)-1]
@@ -140,9 +146,13 @@ func main() {
 	fmt.Printf("results: %v years processed, %v files, heat-wave mean %v\n\n",
 		results["years_processed"], results["files_produced"], results["hw_mean_year_1"])
 
-	// Drain: intake stops, in-flight executions finish, workers exit.
+	// Drain: intake stops, the backlog finishes, the executor exits.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	store.Drain()
+	if err := store.WaitIdle(ctx); err != nil {
+		log.Fatal(err)
+	}
 	if err := svc.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -152,7 +162,7 @@ func main() {
 	for _, e := range final {
 		fmt.Printf("  %-8s %s\n", e["id"], e["status"])
 	}
-	if err := svc.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("server shut down cleanly")
@@ -203,11 +213,6 @@ func atoiDefault(s string, def int) int {
 		return def
 	}
 	return n
-}
-
-func asFloat(v any) float64 {
-	f, _ := v.(float64)
-	return f
 }
 
 // do issues a request and returns status, headers and raw body.

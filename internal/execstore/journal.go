@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// The store journal is a JSON-lines file in the execq idiom: one record
+// The store journal is a JSON-lines file: one record
 // per line, either a "submit" (full task description) or a terminal
 // "state" transition. Leases are deliberately NOT journaled — they are
 // volatile coordination state, and recording every acquire/renew would

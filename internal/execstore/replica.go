@@ -6,9 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/execq"
+	"repro/internal/chaos"
 )
 
 // Handler executes one leased task and returns its output. Handlers
@@ -25,41 +26,52 @@ type ReplicaConfig struct {
 	ID string
 	// Store is the shared execution store the replica pulls from.
 	Store *Store
-	// Workers is the local execution parallelism (default 4).
+	// Workers is the local execution parallelism (default 4). The
+	// replica holds at most 2×Workers leases: one running per worker
+	// and up to Workers prefetched in the hand-off.
 	Workers int
 	// Handler runs each task.
 	Handler Handler
-	// Prefetch caps how many leases one acquire batch claims (default
-	// Workers): modest prefetch keeps workers busy between fetch loops
-	// without hoarding tasks a peer replica could run.
-	Prefetch int
-	// RenewEvery overrides the lease renewal cadence (default
-	// Store LeaseTTL/3).
-	RenewEvery time.Duration
 }
 
 // Replica is one stateless executor: a fetch loop that leases tasks
-// from the shared store, a local execq worker pool that runs them, and
-// a renew loop that keeps held leases alive at TTL/3. All durable state
-// lives in the store — Kill a replica and nothing is lost: its leases
-// expire, the store reclaims the tasks, and a peer replica (or this one
-// after restart) re-runs them behind the epoch fence.
+// from the shared store and hands them to a fixed pool of Workers
+// goroutines over a bounded channel, and a renew loop that keeps held
+// leases alive at TTL/3. All durable state lives in the store — Kill a
+// replica and nothing is lost: its leases expire, the store reclaims the
+// tasks, and a peer replica (or this one after restart) re-runs them
+// behind the epoch fence.
 type Replica struct {
-	cfg    ReplicaConfig
-	q      *execq.Queue
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	cfg        ReplicaConfig
+	renewEvery time.Duration
+	// leases hands leases from the fetch loop to the workers. Its
+	// capacity, Workers, is the prefetch: with every worker busy the
+	// fetch loop may hold Workers more leases, and capacity() never
+	// lets held exceed 2×Workers, so a send never waits on a full
+	// channel for long.
+	leases chan Lease
+	held   atomic.Int64  // leases dispatched and not yet finished by a worker
+	freed  chan struct{} // cap 1: wakes a saturated fetch loop when a worker finishes
+
+	fetchCtx  context.Context // fetch loop; canceled by Drain and Kill
+	stopFetch context.CancelFunc
+	runCtx    context.Context // handlers and the renew loop
+	stopRun   context.CancelFunc
+	fetchDone chan struct{}
+	renewDone chan struct{}
+	workers   sync.WaitGroup
 
 	mu     sync.Mutex
 	killed bool
+	closed bool                // leases channel closed
 	local  map[string]localJob // taskID -> local execution
 }
 
-// localJob ties a held lease to the execq job running it.
+// localJob is one lease the replica holds; cancel is set once a worker
+// has started the handler.
 type localJob struct {
-	jobID string
-	lease Lease
+	lease  Lease
+	cancel context.CancelFunc
 }
 
 // NewReplica starts an executor replica against the store.
@@ -76,28 +88,22 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = cfg.Workers
+	r := &Replica{
+		cfg:        cfg,
+		renewEvery: max(cfg.Store.cfg.LeaseTTL/3, time.Millisecond),
+		leases:     make(chan Lease, cfg.Workers),
+		freed:      make(chan struct{}, 1),
+		fetchDone:  make(chan struct{}),
+		renewDone:  make(chan struct{}),
+		local:      make(map[string]localJob),
 	}
-	if cfg.RenewEvery <= 0 {
-		cfg.RenewEvery = cfg.Store.cfg.LeaseTTL / 3
-		if cfg.RenewEvery < time.Millisecond {
-			cfg.RenewEvery = time.Millisecond
-		}
-	}
-	q, err := execq.New(execq.Config{
-		Workers: cfg.Workers,
-		// Local depth = 2×prefetch: enough headroom that a fetched batch
-		// always fits (the fetch loop gates on local idle capacity).
-		QueueDepth: 2 * cfg.Prefetch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := &Replica{cfg: cfg, q: q, local: make(map[string]localJob)}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
+	r.fetchCtx, r.stopFetch = context.WithCancel(context.Background())
+	r.runCtx, r.stopRun = context.WithCancel(context.Background())
 	cfg.Store.RegisterReplica(cfg.ID, cfg.Workers)
-	r.wg.Add(2)
+	r.workers.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go r.worker()
+	}
 	go r.fetchLoop()
 	go r.renewLoop()
 	return r, nil
@@ -106,22 +112,22 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 // ID returns the replica's name.
 func (r *Replica) ID() string { return r.cfg.ID }
 
-// fetchLoop pulls leases from the store whenever local workers have
-// capacity and hands each to the local queue as a Run closure.
+// fetchLoop pulls leases from the store whenever the pool has capacity
+// and hands each to the workers.
 func (r *Replica) fetchLoop() {
-	defer r.wg.Done()
+	defer close(r.fetchDone)
 	for {
 		want := r.capacity()
 		if want == 0 {
-			// Local pool saturated; let a running task finish.
+			// Pool saturated; wait for a worker to finish a lease.
 			select {
-			case <-r.ctx.Done():
+			case <-r.fetchCtx.Done():
 				return
-			case <-time.After(time.Millisecond):
+			case <-r.freed:
 			}
 			continue
 		}
-		leases, err := r.cfg.Store.AwaitAcquire(r.ctx, r.cfg.ID, want)
+		leases, err := r.cfg.Store.AwaitAcquire(r.fetchCtx, r.cfg.ID, want)
 		if err != nil {
 			return // ctx canceled or store closed
 		}
@@ -131,111 +137,173 @@ func (r *Replica) fetchLoop() {
 	}
 }
 
-// capacity is how many more tasks the local pool can take.
+// capacity is how many more leases the pool can take: up to Workers
+// per fetch, and never more than 2×Workers held in total.
 func (r *Replica) capacity() int {
-	st := r.q.Stats()
-	free := r.cfg.Workers + r.cfg.Prefetch - st.Running - st.Depth
-	if free < 0 {
-		free = 0
-	}
-	if free > r.cfg.Prefetch {
-		free = r.cfg.Prefetch
-	}
-	return free
+	free := 2*r.cfg.Workers - int(r.held.Load())
+	return max(0, min(free, r.cfg.Workers))
 }
 
-// dispatch runs one leased task on the local queue. The closure reports
-// the outcome to the STORE, never to execq: retry policy is global
-// (task.Retries, store backoff), so the local job always "succeeds"
-// from execq's perspective. A killed replica reports nothing — the
-// lease expires and the store reclaims the task.
+// dispatch hands one lease to the workers. The send never waits long:
+// the fetch loop only acquires what capacity allows, so either the
+// channel has room or a worker is idle. A replica that has stopped says
+// nothing and lets the lease expire, so the store reclaims the task
+// without burning its retry budget.
 func (r *Replica) dispatch(l Lease) {
-	lease := l
-	jobID := fmt.Sprintf("%s.%s.e%d", r.cfg.ID, lease.TaskID, lease.Epoch)
 	r.mu.Lock()
-	r.local[lease.TaskID] = localJob{jobID: jobID, lease: lease}
-	r.mu.Unlock()
-	_, err := r.q.Submit(execq.Job{
-		ID:        jobID,
-		Principal: lease.Task.Tenant,
-		Run: func(ctx context.Context) error {
-			out, herr := r.cfg.Handler(ctx, lease.Task)
-			r.mu.Lock()
-			dead := r.killed
-			delete(r.local, lease.TaskID)
-			r.mu.Unlock()
-			if dead {
-				return nil // abandoned: say nothing, let the lease expire
-			}
-			if herr != nil {
-				r.cfg.Store.Fail(lease, herr)
-				return nil
-			}
-			r.cfg.Store.Complete(lease, out)
-			return nil
-		},
-	})
-	if err != nil {
-		// Local pool rejected (draining/full race): give the task back
-		// to the store immediately instead of sitting on the lease. A
-		// Kill that closed the pool after this lease was fetched is a
-		// crash like any other: say nothing and let the lease expire.
-		r.mu.Lock()
-		delete(r.local, lease.TaskID)
-		dead := r.killed
+	if r.killed || r.closed {
 		r.mu.Unlock()
-		if !dead {
-			r.cfg.Store.Fail(lease, err)
+		return
+	}
+	r.local[l.TaskID] = localJob{lease: l}
+	r.mu.Unlock()
+	r.held.Add(1)
+	r.leases <- l
+}
+
+// worker runs handed-off leases until the channel closes.
+func (r *Replica) worker() {
+	defer r.workers.Done()
+	for l := range r.leases {
+		r.run(l)
+		r.held.Add(-1)
+		select {
+		case r.freed <- struct{}{}:
+		default: // a wake-up is already pending
 		}
 	}
 }
 
-// renewLoop extends held leases at the configured cadence and cancels
-// local jobs whose store-side task got a cancel request.
+// run executes one lease and reports the outcome to the STORE: retry
+// policy is global (task.Retries, store backoff). A lease that was
+// canceled before it started, or that a killed or timed-out replica
+// never started, is skipped without a report.
+func (r *Replica) run(l Lease) {
+	ctx, cancel := context.WithCancel(r.runCtx)
+	defer cancel()
+	r.mu.Lock()
+	lj, ok := r.local[l.TaskID]
+	if r.killed || ctx.Err() != nil || !ok || lj.lease.Epoch != l.Epoch {
+		r.forgetLocked(l)
+		r.mu.Unlock()
+		return
+	}
+	lj.cancel = cancel
+	r.local[l.TaskID] = lj
+	r.mu.Unlock()
+
+	out, err := r.invoke(ctx, l.Task)
+
+	r.mu.Lock()
+	dead := r.killed
+	r.forgetLocked(l)
+	r.mu.Unlock()
+	if dead {
+		return // abandoned: say nothing, let the lease expire
+	}
+	// A report fails only when the task moved on without this lease
+	// (reclaimed, canceled, evicted); nothing is left to do here.
+	if err != nil {
+		_ = r.cfg.Store.Fail(l, err)
+		return
+	}
+	_ = r.cfg.Store.Complete(l, out)
+}
+
+// invoke runs the handler, turning a panic into a permanent failure so
+// the task finalizes FAILED instead of sitting LEASED forever.
+func (r *Replica) invoke(ctx context.Context, t TaskView) (out json.RawMessage, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = chaos.Permanent(fmt.Errorf("execstore: handler panicked on task %s: %v", t.ID, p))
+		}
+	}()
+	return r.cfg.Handler(ctx, t)
+}
+
+// forgetLocked drops the local entry for l, unless the task has since
+// been re-leased to this replica under a newer epoch.
+func (r *Replica) forgetLocked(l Lease) {
+	if lj, ok := r.local[l.TaskID]; ok && lj.lease.Epoch == l.Epoch {
+		delete(r.local, l.TaskID)
+	}
+}
+
+// renewLoop extends held leases at TTL/3 and cancels local jobs whose
+// store-side task got a cancel request. It keeps running through a
+// drain, so tasks finishing during shutdown are not reclaimed.
 func (r *Replica) renewLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.RenewEvery)
+	defer close(r.renewDone)
+	tick := time.NewTicker(r.renewEvery)
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.ctx.Done():
+		case <-r.runCtx.Done():
 			return
 		case <-tick.C:
 			_, canceled := r.cfg.Store.Renew(r.cfg.ID)
 			for _, id := range canceled {
-				// Cancel the local run; its Fail(ctx.Err()) finalizes
-				// the task as CANCELED in the store.
 				r.cancelLocal(id)
 			}
 		}
 	}
 }
 
-// cancelLocal cancels the local job executing the given task, then
-// fails the lease back as canceled. If the job was still queued its Run
-// closure never fires, so this Fail is the only report; if it was
-// running, whichever report lands first wins and the other is fenced as
-// a no-op — either way the task finalizes exactly once.
+// cancelLocal stops the local job executing the given task, then fails
+// the lease back as canceled. A job still waiting in the hand-off is
+// skipped by its worker; a running one has its context canceled and its
+// own report is fenced as a no-op — either way the task finalizes
+// exactly once.
 func (r *Replica) cancelLocal(taskID string) {
 	r.mu.Lock()
 	lj, ok := r.local[taskID]
+	delete(r.local, taskID)
 	r.mu.Unlock()
 	if !ok {
 		return
 	}
-	r.q.Cancel(lj.jobID)
-	r.cfg.Store.Fail(lj.lease, context.Canceled)
+	if lj.cancel != nil {
+		lj.cancel()
+	}
+	_ = r.cfg.Store.Fail(lj.lease, context.Canceled) // fenced if the task already finished
 }
 
-// Drain gracefully stops the replica: no new leases are fetched,
-// running tasks finish and report, held-but-unstarted leases are failed
-// back to the store for immediate reassignment.
+// closeLeases ends the hand-off once the fetch loop has exited; the
+// workers run (or, after Kill, skip) what it still holds and return.
+func (r *Replica) closeLeases() {
+	<-r.fetchDone
+	r.mu.Lock()
+	if !r.closed {
+		r.closed = true
+		close(r.leases)
+	}
+	r.mu.Unlock()
+}
+
+// Drain gracefully stops the replica: no new leases are fetched, and
+// every lease already held runs and reports while the renew loop keeps
+// it alive. If ctx expires first, running handlers are canceled (each
+// still reports its outcome), leases not yet started are abandoned for
+// the store to reclaim, and Drain returns ctx.Err().
 func (r *Replica) Drain(ctx context.Context) error {
-	r.cancel()
-	err := r.q.Drain(ctx)
-	r.wg.Wait()
+	r.stopFetch()
+	r.closeLeases()
+	done := make(chan struct{})
+	go func() {
+		r.workers.Wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+		r.stopRun()
+		<-done
+	}
+	r.stopRun()
+	<-r.renewDone
 	r.cfg.Store.DeregisterReplica(r.cfg.ID)
-	r.q.Close()
 	return err
 }
 
@@ -251,7 +319,9 @@ func (r *Replica) Kill() {
 	}
 	r.killed = true
 	r.mu.Unlock()
-	r.cancel()
-	r.q.Close() // cancels running contexts; closures see killed and stay silent
-	r.wg.Wait()
+	r.stopFetch()
+	r.stopRun()
+	r.closeLeases()
+	r.workers.Wait()
+	<-r.renewDone
 }

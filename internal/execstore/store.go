@@ -1,13 +1,12 @@
-// Package execstore is the shared execution store behind the replicated
-// HPCWaaS control plane. Where internal/execq is one process's bounded
-// worker queue, execstore is the state that N stateless API replicas
-// share: tasks are submitted once, claimed by replicas under
-// epoch-fenced leases, and completed exactly once — a replica that
-// crashes or partitions simply stops renewing, its leases expire, its
-// tasks are reclaimed for other replicas, and any completion it later
-// delivers under the stale lease is fenced out by the epoch token
-// (the fencing-token pattern; Merlin's producer/consumer task server is
-// the scale exemplar, Peterson et al. 2019).
+// Package execstore is the execution store behind the HPCWaaS control
+// plane: the state that N stateless API replicas (one, in a
+// single-server deployment) share. Tasks are submitted once, claimed by
+// replicas under epoch-fenced leases, and completed exactly once — a
+// replica that crashes or partitions simply stops renewing, its leases
+// expire, its tasks are reclaimed for other replicas, and any completion
+// it later delivers under the stale lease is fenced out by the epoch
+// token (the fencing-token pattern; Merlin's producer/consumer task
+// server is the scale exemplar, Peterson et al. 2019).
 //
 // Three control-plane policies live here because they must be global to
 // be meaningful:
@@ -26,8 +25,8 @@
 //
 // The store is in-process (replicas share the *Store) and optionally
 // file-backed: a JSON-lines journal with size-triggered compaction
-// recovers pending work after a store crash, in the execq journal
-// idiom (torn/corrupt lines are skipped and counted, never fatal).
+// recovers pending work after a store crash (torn/corrupt lines are
+// skipped and counted, never fatal).
 package execstore
 
 import (
@@ -1012,7 +1011,7 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// maybeCompactLocked mirrors the execq journal policy: once the file
+// maybeCompactLocked bounds the journal: once the file
 // outgrows the bound, rewrite it down to the live tasks; floor the next
 // trigger at twice the compacted size so a full store does not
 // recompact on every append.

@@ -507,6 +507,24 @@ func TestLookupDistinguishesExpiredFromUnknown(t *testing.T) {
 	}
 }
 
+func TestDuplicateAndAutoIDs(t *testing.T) {
+	s := openStore(t, Config{LeaseTTL: time.Minute})
+	v := mustSubmit(t, s, Task{Tenant: "x"})
+	if v.ID != "task-1" {
+		t.Fatalf("auto id = %q, want task-1", v.ID)
+	}
+	if _, err := s.Submit(Task{ID: v.ID, Tenant: "x"}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("duplicate err = %v, want ErrDuplicateID", err)
+	}
+	mustSubmit(t, s, Task{ID: "named", Tenant: "x"})
+	if v := mustSubmit(t, s, Task{Tenant: "x"}); v.ID != "task-2" {
+		t.Fatalf("auto id after an explicit one = %q, want task-2", v.ID)
+	}
+	if got, ok := s.Get("task-1"); !ok || got.State != StatePending {
+		t.Fatalf("Get(task-1) = %+v %v", got, ok)
+	}
+}
+
 func TestAwaitAcquireWakesOnSubmit(t *testing.T) {
 	s := openStore(t, Config{LeaseTTL: time.Minute})
 	got := make(chan []Lease, 1)

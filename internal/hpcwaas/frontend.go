@@ -3,6 +3,7 @@ package hpcwaas
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -15,16 +16,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Frontend is one stateless HPCWaaS API replica over a shared
-// execstore.Store. Where Service owns a private execq.Queue (one
-// process, one control plane), a Frontend owns nothing durable: every
+// Frontend is the HPCWaaS service (Figure 1's Execution API, "workflow
+// execution as a simple REST invocation"): one stateless API replica
+// over a shared execstore.Store. A Frontend owns nothing durable: every
 // execution lives in the store, so N frontends behind a load balancer
 // answer interchangeably — submit on one, poll on another, cancel on a
-// third — and killing a frontend loses no work. Execution capacity is
-// equally replaceable: each frontend may embed an executor replica
-// (Workers > 0), and the store's epoch-fenced leases guarantee that a
-// crashed executor's tasks are reclaimed and completed exactly once by
-// a surviving peer.
+// third — and killing a frontend loses no work. A single-server
+// deployment is simply one Frontend over its own store. Execution
+// capacity is equally replaceable: each frontend may embed an executor
+// replica (Workers > 0), and the store's epoch-fenced leases guarantee
+// that a crashed executor's tasks are reclaimed and completed exactly
+// once by a surviving peer.
 //
 // Admission is the store's cost-based policy, mapped onto HTTP:
 // tenant-caused sheds (quota, rate) answer 429, capacity sheds (depth,
@@ -52,6 +54,11 @@ type FrontendConfig struct {
 	Store *execstore.Store
 	// Registry is the (shared) workflow registry.
 	Registry *Registry
+	// Deployer, when set, serves the deployment routes and gates
+	// submissions: a registered workflow without an active deployment
+	// answers 409. Share one Deployer across replicas. Nil executes
+	// straight from the registry.
+	Deployer *Deployer
 	// Workers sizes the embedded executor replica; 0 makes this a pure
 	// API replica that submits and reads but never executes.
 	Workers int
@@ -133,9 +140,23 @@ func (f *Frontend) runTask(ctx context.Context, t execstore.TaskView) (json.RawM
 	}
 }
 
-// AuthorizeToken registers an API token for the named principal (same
-// contract as Service.AuthorizeToken). Register the same tokens on
-// every frontend: they are configuration, not shared state.
+// runApp isolates application panics as errors.
+func runApp(app AppFunc, params map[string]string) (out map[string]string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("hpcwaas: application panicked: %v", p)
+		}
+	}()
+	return app(params)
+}
+
+// AuthorizeToken registers an API token for the named principal. Once
+// at least one token exists, every API call must carry
+// "Authorization: Bearer <token>" — the stand-in for the credential
+// vault the eFlows4HPC HPCWaaS uses so final users never handle SSH
+// keys themselves. The principal is also the tenant that store quotas,
+// rate limits and fair share are accounted against. Register the same
+// tokens on every frontend: they are configuration, not shared state.
 func (f *Frontend) AuthorizeToken(token, principal string) error {
 	if token == "" {
 		return fmt.Errorf("hpcwaas: empty token")
@@ -149,6 +170,9 @@ func (f *Frontend) AuthorizeToken(token, principal string) error {
 	return nil
 }
 
+// authenticate returns the principal for a request, or "" with false
+// when authentication fails. With no registered tokens the API is
+// open (development mode).
 func (f *Frontend) authenticate(r *http.Request) (string, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -187,37 +211,55 @@ func (f *Frontend) KillExecutor() {
 	}
 }
 
-// execution is the REST view of a store task.
-type execution struct {
+// ExecStatus is the lifecycle of one workflow execution.
+type ExecStatus string
+
+// Execution states. QUEUED means admitted but not yet leased to an
+// executor (or parked between retry attempts); RUNNING means an
+// executor holds the lease; DONE, FAILED and CANCELED are terminal.
+const (
+	ExecQueued   ExecStatus = "QUEUED"
+	ExecRunning  ExecStatus = "RUNNING"
+	ExecDone     ExecStatus = "DONE"
+	ExecFailed   ExecStatus = "FAILED"
+	ExecCanceled ExecStatus = "CANCELED"
+)
+
+// Execution is the REST view of one run of a registered workflow.
+type Execution struct {
 	ID        string            `json:"id"`
 	Workflow  string            `json:"workflow"`
 	Principal string            `json:"principal,omitempty"`
 	Status    ExecStatus        `json:"status"`
+	Priority  int               `json:"priority,omitempty"`
 	Attempt   int               `json:"attempt,omitempty"`
 	Params    map[string]string `json:"params,omitempty"`
 	Results   map[string]string `json:"results,omitempty"`
 	Error     string            `json:"error,omitempty"`
 }
 
-func toExecution(t execstore.TaskView) execution {
-	ex := execution{
+// storeStates maps each execution status onto its store state.
+var storeStates = map[ExecStatus]execstore.State{
+	ExecQueued:   execstore.StatePending,
+	ExecRunning:  execstore.StateLeased,
+	ExecDone:     execstore.StateDone,
+	ExecFailed:   execstore.StateFailed,
+	ExecCanceled: execstore.StateCanceled,
+}
+
+func toExecution(t execstore.TaskView) Execution {
+	ex := Execution{
 		ID:        t.ID,
 		Workflow:  t.Kind,
 		Principal: t.Tenant,
+		Priority:  t.Priority,
 		Attempt:   t.Attempt,
 		Error:     t.Err,
 	}
-	switch t.State {
-	case execstore.StatePending:
-		ex.Status = ExecQueued
-	case execstore.StateLeased:
-		ex.Status = ExecRunning
-	case execstore.StateDone:
-		ex.Status = ExecDone
-	case execstore.StateFailed:
-		ex.Status = ExecFailed
-	case execstore.StateCanceled:
-		ex.Status = ExecCanceled
+	for status, state := range storeStates {
+		if t.State == state {
+			ex.Status = status
+		}
 	}
 	if len(t.Payload) > 0 {
 		_ = json.Unmarshal(t.Payload, &ex.Params)
@@ -255,20 +297,35 @@ func writeShed(w http.ResponseWriter, se *execstore.ShedError) {
 	writeJSON(w, code, body)
 }
 
-// Handler returns the replica REST API. Routes:
+// principalKey carries the authenticated principal in the request
+// context.
+type principalKey struct{}
+
+// Handler returns the REST API. Routes:
 //
-//	GET    /api/workflows            list registered workflows
-//	POST   /api/executions           submit ({"workflow","params","priority"})
-//	GET    /api/executions[?status=] list retained executions
-//	GET    /api/executions/{id}      status/results (410 if evicted)
-//	DELETE /api/executions/{id}      cancel
-//	GET    /api/store                store stats (leases, shed counters, latency)
-//	GET    /api/health               liveness + replica identity
-//	GET    /metrics                  Prometheus text exposition
+//	GET    /api/workflows                  list registered workflows
+//	POST   /api/executions                 submit ({"workflow","params","priority"})
+//	GET    /api/executions[?status=S]      list retained executions, submission order
+//	GET    /api/executions/{id}            status/results (410 if evicted)
+//	DELETE /api/executions/{id}            cancel (410 if evicted)
+//	GET    /api/store                      store stats (leases, shed counters, latency)
+//	GET    /api/health                     liveness + replica identity
+//	GET    /metrics                        Prometheus text exposition
 //
-// POST answers 202 on admission, 429/503 + Retry-After + shed reason on
-// shed (see writeShed). All state is in the shared store: any replica
-// answers for any execution.
+// With a Deployer configured, also:
+//
+//	GET    /api/workflows/{name}           workflow detail (topology)
+//	POST   /api/workflows/{name}/deploy    deploy ({"target": "..."})
+//	GET    /api/deployments/{id}           deployment status/log
+//	POST   /api/deployments/{id}/undeploy  tear down
+//
+// and POST /api/executions answers 409 for a workflow with no active
+// deployment. POST answers 202 on admission, 429/503 + Retry-After +
+// shed reason on shed (see writeShed). When AuthorizeToken has
+// registered at least one token, every route but /metrics requires
+// "Authorization: Bearer <token>" and the token's principal is the
+// tenant charged for the execution. All execution state is in the
+// shared store: any replica answers for any execution.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -286,6 +343,10 @@ func (f *Frontend) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
+	if f.cfg.Deployer != nil {
+		f.deploymentRoutes(mux)
+	}
+
 	mux.HandleFunc("POST /api/executions", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Workflow string            `json:"workflow"`
@@ -298,6 +359,10 @@ func (f *Frontend) Handler() http.Handler {
 		}
 		if _, ok := f.reg.Lookup(body.Workflow); !ok {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", body.Workflow))
+			return
+		}
+		if f.cfg.Deployer != nil && !f.cfg.Deployer.ActiveFor(body.Workflow) {
+			httpError(w, http.StatusConflict, fmt.Sprintf("workflow %q has no active deployment", body.Workflow))
 			return
 		}
 		payload, err := json.Marshal(body.Params)
@@ -325,23 +390,14 @@ func (f *Frontend) Handler() http.Handler {
 
 	mux.HandleFunc("GET /api/executions", func(w http.ResponseWriter, r *http.Request) {
 		var state execstore.State
-		switch ExecStatus(strings.ToUpper(r.URL.Query().Get("status"))) {
-		case "":
-		case ExecQueued:
-			state = execstore.StatePending
-		case ExecRunning:
-			state = execstore.StateLeased
-		case ExecDone:
-			state = execstore.StateDone
-		case ExecFailed:
-			state = execstore.StateFailed
-		case ExecCanceled:
-			state = execstore.StateCanceled
-		default:
-			httpError(w, http.StatusBadRequest, "unknown status filter")
-			return
+		if s := r.URL.Query().Get("status"); s != "" {
+			var ok bool
+			if state, ok = storeStates[ExecStatus(strings.ToUpper(s))]; !ok {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown status filter %q", s))
+				return
+			}
 		}
-		out := []execution{}
+		out := []Execution{}
 		for _, t := range f.store.List(state) {
 			out = append(out, toExecution(t))
 		}
@@ -367,10 +423,16 @@ func (f *Frontend) Handler() http.Handler {
 		case err == nil:
 			t, _ := f.store.Lookup(id)
 			writeJSON(w, http.StatusAccepted, toExecution(t))
-		case strings.Contains(err.Error(), "unknown task"):
-			httpError(w, http.StatusNotFound, err.Error())
-		default: // already terminal
+		case errors.Is(err, execstore.ErrTerminal):
 			httpError(w, http.StatusConflict, err.Error())
+		case errors.Is(err, execstore.ErrUnknownTask):
+			if _, st := f.store.Lookup(id); st == execstore.LookupExpired {
+				httpError(w, http.StatusGone, "execution expired from retention")
+				return
+			}
+			httpError(w, http.StatusNotFound, err.Error())
+		default:
+			httpError(w, http.StatusInternalServerError, err.Error())
 		}
 	})
 
@@ -387,6 +449,9 @@ func (f *Frontend) Handler() http.Handler {
 		})
 	})
 
+	// The scrape endpoint sits outside the bearer-token wrapper:
+	// monitoring systems poll it without tenant credentials, and it
+	// exposes no per-tenant data.
 	metrics := obs.Handler(f.met)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/metrics" {
@@ -404,4 +469,95 @@ func (f *Frontend) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), principalKey{}, principal)))
 	})
+}
+
+// deploymentRoutes serves the registry detail and the Yorc-role
+// deploy/undeploy lifecycle through the configured Deployer.
+func (f *Frontend) deploymentRoutes(mux *http.ServeMux) {
+	dep := f.cfg.Deployer
+
+	mux.HandleFunc("GET /api/workflows/{name}", func(w http.ResponseWriter, r *http.Request) {
+		e, ok := f.reg.Lookup(r.PathValue("name"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown workflow")
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"name":        e.Name,
+			"version":     e.Version,
+			"description": e.Description,
+			"topology":    e.Topology,
+		})
+	})
+
+	mux.HandleFunc("POST /api/workflows/{name}/deploy", func(w http.ResponseWriter, r *http.Request) {
+		e, ok := f.reg.Lookup(r.PathValue("name"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown workflow")
+			return
+		}
+		var body struct {
+			Target string `json:"target"`
+		}
+		if err := decodeJSON(r, &body); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if body.Target == "" {
+			body.Target = "default-cluster"
+		}
+		d, err := dep.Deploy(e, body.Target)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		writeJSON(w, http.StatusCreated, d)
+	})
+
+	mux.HandleFunc("GET /api/deployments/{id}", func(w http.ResponseWriter, r *http.Request) {
+		d, ok := dep.Get(r.PathValue("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown deployment")
+			return
+		}
+		writeJSON(w, http.StatusOK, d)
+	})
+
+	mux.HandleFunc("POST /api/deployments/{id}/undeploy", func(w http.ResponseWriter, r *http.Request) {
+		d, ok := dep.Get(r.PathValue("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown deployment")
+			return
+		}
+		e, ok := f.reg.Lookup(d.Workflow)
+		if !ok {
+			httpError(w, http.StatusConflict, "workflow no longer registered")
+			return
+		}
+		if err := dep.Undeploy(d.ID, e.Topology); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		d, _ = dep.Get(d.ID) // re-read: status changed
+		writeJSON(w, http.StatusOK, d)
+	})
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func httpError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+func decodeJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return nil
 }

@@ -252,7 +252,7 @@ func TestFrontendReplicaSetHTTPSoak(t *testing.T) {
 				for {
 					resp := postExecution(t, client, "wf", map[string]string{"msg": fmt.Sprintf("m-%d", i)})
 					if resp.StatusCode == http.StatusAccepted {
-						ex := decodeBody[execution](t, resp)
+						ex := decodeBody[Execution](t, resp)
 						ids[i] = ex.ID
 						break
 					}
@@ -288,7 +288,7 @@ func TestFrontendReplicaSetHTTPSoak(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s from peer replica: %d", id, resp.StatusCode)
 		}
-		ex := decodeBody[execution](t, resp)
+		ex := decodeBody[Execution](t, resp)
 		if ex.Status != ExecDone {
 			t.Fatalf("execution %s: %s (err %q), want DONE", id, ex.Status, ex.Error)
 		}
@@ -329,7 +329,7 @@ func TestFrontendCancelAndLookupAcrossReplicas(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST: %d", resp.StatusCode)
 	}
-	ex := decodeBody[execution](t, resp)
+	ex := decodeBody[Execution](t, resp)
 
 	// The pure-API replica accepted it; the executing replica leases it.
 	deadline := time.Now().Add(5 * time.Second)
@@ -338,7 +338,7 @@ func TestFrontendCancelAndLookupAcrossReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := decodeBody[execution](t, resp)
+		got := decodeBody[Execution](t, resp)
 		if got.Status == ExecRunning {
 			break
 		}

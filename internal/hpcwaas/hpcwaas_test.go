@@ -2,6 +2,7 @@ package hpcwaas
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dls"
+	"repro/internal/execstore"
 	"repro/internal/imagebuilder"
 	"repro/internal/tosca"
 )
@@ -160,29 +162,101 @@ func TestUndeploy(t *testing.T) {
 	}
 }
 
+// serviceConfig shapes the single-server deployment most tests run
+// against: one store and one Frontend with an embedded executor.
+type serviceConfig struct {
+	Store    execstore.Config
+	Workers  int       // default 4
+	Deployer *Deployer // nil: a fresh default deployer
+}
+
+// newService starts a store, a Frontend with a Deployer over it and an
+// HTTP server for its API; everything stops at test cleanup.
+func newService(t *testing.T, reg *Registry, cfg serviceConfig) (*Frontend, *execstore.Store, *httptest.Server) {
+	t.Helper()
+	if reg == nil {
+		reg = NewRegistry()
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 4
+	}
+	if cfg.Deployer == nil {
+		cfg.Deployer = NewDeployer(nil, nil, imagebuilder.Platform{})
+	}
+	store := openTestStore(t, cfg.Store)
+	f := newTestFrontend(t, FrontendConfig{
+		ID: "api-0", Store: store, Registry: reg, Deployer: cfg.Deployer, Workers: cfg.Workers,
+	})
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+	return f, store, srv
+}
+
+// execute submits through POST /api/executions and returns the status
+// code and the decoded body.
+func execute(t *testing.T, srv *httptest.Server, workflow string, params map[string]string) (int, Execution) {
+	t.Helper()
+	resp := postExecution(t, srv.URL, workflow, params)
+	defer resp.Body.Close()
+	var ex Execution
+	_ = json.NewDecoder(resp.Body).Decode(&ex)
+	return resp.StatusCode, ex
+}
+
+// mustExecute submits and fails the test unless the execution is
+// admitted.
+func mustExecute(t *testing.T, srv *httptest.Server, workflow string, params map[string]string) Execution {
+	t.Helper()
+	code, ex := execute(t, srv, workflow, params)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST %s: %d %+v", workflow, code, ex)
+	}
+	return ex
+}
+
+// waitIdle blocks until no execution is pending or running.
+func waitIdle(t *testing.T, s *execstore.Store) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.WaitIdle(ctx); err != nil {
+		t.Fatalf("executions still live: %v (stats %+v)", err, s.Stats())
+	}
+}
+
+// getExecution reads one execution through the store.
+func getExecution(t *testing.T, s *execstore.Store, id string) Execution {
+	t.Helper()
+	v, ok := s.Get(id)
+	if !ok {
+		t.Fatalf("execution %s not retained", id)
+	}
+	return toExecution(v)
+}
+
 func TestExecuteLifecycle(t *testing.T) {
 	d := newTestDeployer(t)
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
+	_, store, srv := newService(t, reg, serviceConfig{Deployer: d})
 	e, _ := reg.Lookup("climate")
-	if _, err := svc.Execute("climate", nil); err == nil {
-		t.Fatal("execution without deployment accepted")
+	if code, _ := execute(t, srv, "climate", nil); code != http.StatusConflict {
+		t.Fatalf("execution without deployment: %d, want 409", code)
 	}
 	if _, err := d.Deploy(e, "zeus"); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := svc.Execute("climate", map[string]string{"msg": "hi"})
-	if err != nil {
-		t.Fatal(err)
+	ex := mustExecute(t, srv, "climate", map[string]string{"msg": "hi"})
+	if ex.Status != ExecQueued || ex.ID != "task-1" {
+		t.Fatalf("accepted execution = %+v, want task-1 QUEUED", ex)
 	}
-	svc.Wait()
-	got, ok := svc.GetExecution(ex.ID)
-	if !ok || got.Status != ExecDone || got.Results["echo"] != "hi" {
+	waitIdle(t, store)
+	got := getExecution(t, store, ex.ID)
+	if got.Status != ExecDone || got.Results["echo"] != "hi" {
 		t.Fatalf("execution = %+v", got)
 	}
-	if _, err := svc.Execute("ghost", nil); err == nil {
-		t.Fatal("unknown workflow executed")
+	if code, _ := execute(t, srv, "ghost", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown workflow: %d, want 404", code)
 	}
 }
 
@@ -195,18 +269,15 @@ func TestExecuteFailuresCaptured(t *testing.T) {
 	reg.Register(demoEntry("panics", func(map[string]string) (map[string]string, error) {
 		panic("kaboom")
 	}))
-	svc := NewService(reg, d)
+	_, store, srv := newService(t, reg, serviceConfig{Deployer: d})
 	for _, name := range []string{"bad", "panics"} {
 		e, _ := reg.Lookup(name)
 		if _, err := d.Deploy(e, "zeus"); err != nil {
 			t.Fatal(err)
 		}
-		ex, err := svc.Execute(name, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Wait()
-		got, _ := svc.GetExecution(ex.ID)
+		ex := mustExecute(t, srv, name, nil)
+		waitIdle(t, store)
+		got := getExecution(t, store, ex.ID)
 		if got.Status != ExecFailed || got.Error == "" {
 			t.Fatalf("%s: execution = %+v", name, got)
 		}
@@ -245,9 +316,7 @@ func TestRESTEndToEnd(t *testing.T) {
 	d := newTestDeployer(t)
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, _, srv := newService(t, reg, serviceConfig{Deployer: d})
 
 	// list
 	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
@@ -329,9 +398,7 @@ func TestRESTEndToEnd(t *testing.T) {
 }
 
 func TestRESTValidation(t *testing.T) {
-	svc := NewService(nil, nil)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, _, srv := newService(t, nil, serviceConfig{})
 
 	if code, _ := restCall(t, srv, "GET", "/api/executions/ghost", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost execution code = %d", code)
@@ -361,9 +428,7 @@ func TestHealthAndExecutionList(t *testing.T) {
 	d := newTestDeployer(t)
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, store, srv := newService(t, reg, serviceConfig{Deployer: d})
 
 	code, health := restCall(t, srv, "GET", "/api/health", nil)
 	if code != http.StatusOK || health["status"] != "ok" || health["workflows"].(float64) != 1 {
@@ -374,11 +439,9 @@ func TestHealthAndExecutionList(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Execute("climate", map[string]string{"msg": "x"}); err != nil {
-			t.Fatal(err)
-		}
+		mustExecute(t, srv, "climate", map[string]string{"msg": "x"})
 	}
-	svc.Wait()
+	waitIdle(t, store)
 	resp, err := srv.Client().Get(srv.URL + "/api/executions")
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +449,7 @@ func TestHealthAndExecutionList(t *testing.T) {
 	var list []Execution
 	json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
-	if len(list) != 3 || list[0].ID != "exec-1" {
+	if len(list) != 3 || list[0].ID != "task-1" {
 		t.Fatalf("executions = %+v", list)
 	}
 	for _, ex := range list {
@@ -400,15 +463,13 @@ func TestTokenAuth(t *testing.T) {
 	d := newTestDeployer(t)
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
+	svc, _, srv := newService(t, reg, serviceConfig{Deployer: d})
 	if err := svc.AuthorizeToken("", "x"); err == nil {
 		t.Fatal("empty token accepted")
 	}
 	if err := svc.AuthorizeToken("secret-1", "alice"); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	// no token → 401
 	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
@@ -444,9 +505,7 @@ func TestTokenAuth(t *testing.T) {
 }
 
 func TestNoTokensMeansOpenAPI(t *testing.T) {
-	svc := NewService(nil, nil)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, _, srv := newService(t, nil, serviceConfig{})
 	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
 	if err != nil {
 		t.Fatal(err)
@@ -475,8 +534,9 @@ func TestDeployerCacheAcrossDeployments(t *testing.T) {
 	}
 }
 
-func ExampleService_Execute() {
-	// Developers register a workflow; users run it via the service.
+func ExampleFrontend() {
+	// Developers register a workflow and deploy it; users run it
+	// through the REST API.
 	reg := NewRegistry()
 	_ = reg.Register(Entry{
 		Name:     "hello",
@@ -487,12 +547,26 @@ func ExampleService_Execute() {
 	})
 	d := NewDeployer(nil, nil, imagebuilder.Platform{Arch: "x86_64"})
 	d.Pipelines["stage-in-climatology"] = dls.Pipeline{Name: "noop"}
-	svc := NewService(reg, d)
 	e, _ := reg.Lookup("hello")
 	_, _ = d.Deploy(e, "zeus")
-	ex, _ := svc.Execute("hello", map[string]string{"who": "climate"})
-	svc.Wait()
-	got, _ := svc.GetExecution(ex.ID)
-	fmt.Println(got.Results["greeting"])
-	// Output: hello climate
+
+	store, _ := execstore.Open(execstore.Config{})
+	defer store.Close()
+	f, _ := NewFrontend(FrontendConfig{ID: "api-0", Store: store, Registry: reg, Deployer: d, Workers: 1})
+	defer f.KillExecutor()
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	body := strings.NewReader(`{"workflow":"hello","params":{"who":"climate"}}`)
+	resp, _ := http.Post(srv.URL+"/api/executions", "application/json", body)
+	var ex Execution
+	_ = json.NewDecoder(resp.Body).Decode(&ex)
+	resp.Body.Close()
+	_ = store.WaitIdle(context.Background())
+
+	resp, _ = http.Get(srv.URL + "/api/executions/" + ex.ID)
+	_ = json.NewDecoder(resp.Body).Decode(&ex)
+	resp.Body.Close()
+	fmt.Println(ex.Status, ex.Results["greeting"])
+	// Output: DONE hello climate
 }

@@ -7,11 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/execstore"
 	"repro/internal/obs"
 )
 
 // TestMetricsEndpoint drives one execution through the REST API and
-// asserts GET /metrics serves the execq instrument surface in
+// asserts GET /metrics serves the execstore instrument surface in
 // Prometheus text format — without a bearer token, even when the rest
 // of the API requires one.
 func TestMetricsEndpoint(t *testing.T) {
@@ -19,14 +20,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
 	mreg := obs.NewRegistry()
-	svc, err := NewServiceWith(reg, d, ServiceConfig{Metrics: mreg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if svc.Metrics() != mreg {
-		t.Fatal("Metrics() does not return the configured registry")
-	}
+	store := openTestStore(t, execstore.Config{Metrics: mreg})
+	svc := newTestFrontend(t, FrontendConfig{
+		ID: "api-0", Store: store, Registry: reg, Deployer: d, Workers: 1, Metrics: mreg,
+	})
 	if err := svc.AuthorizeToken("s3cret", "alice"); err != nil {
 		t.Fatal(err)
 	}
@@ -34,22 +31,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := d.Deploy(e, "zeus"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.ExecuteAs("alice", "climate", map[string]string{"msg": "hi"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	svc.Wait()
-
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
+	req, _ := http.NewRequest("POST", srv.URL+"/api/executions",
+		strings.NewReader(`{"workflow":"climate","params":{"msg":"hi"}}`))
+	req.Header.Set("Authorization", "Bearer s3cret")
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("authenticated POST = %d, want 202", resp.StatusCode)
+	}
+	waitIdle(t, store)
+	if v, _ := store.Get("task-1"); v.Tenant != "alice" {
+		t.Fatalf("execution charged to %q, want alice", v.Tenant)
+	}
+
 	// API routes demand the token...
-	resp, err := srv.Client().Get(srv.URL + "/api/queue")
+	resp, err = srv.Client().Get(srv.URL + "/api/store")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated /api/queue = %d, want 401", resp.StatusCode)
+		t.Fatalf("unauthenticated /api/store = %d, want 401", resp.StatusCode)
 	}
 
 	// ...but the scrape endpoint does not.
@@ -67,17 +75,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"# TYPE execq_submitted_total counter",
-		"execq_submitted_total 1",
-		"execq_completed_total 1",
-		"# TYPE execq_queue_depth gauge",
-		"execq_queue_depth 0",
-		"# TYPE execq_wait_seconds histogram",
-		`execq_wait_seconds_bucket{le="+Inf"} 1`,
-		"execq_wait_seconds_count 1",
-		"# TYPE execq_run_seconds histogram",
-		"execq_run_seconds_count 1",
-		`execq_rejected_total{reason="full"} 0`,
+		"# TYPE execstore_submitted_total counter",
+		"execstore_submitted_total 1",
+		"execstore_completed_total 1",
+		"# TYPE execstore_pending gauge",
+		"execstore_pending 0",
+		"# TYPE execstore_wait_seconds histogram",
+		`execstore_wait_seconds_bucket{le="+Inf"} 1`,
+		"execstore_wait_seconds_count 1",
+		"# TYPE execstore_run_seconds histogram",
+		"execstore_run_seconds_count 1",
+		"# TYPE execstore_shed_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

@@ -12,45 +12,40 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/execq"
+	"repro/internal/execstore"
 )
 
-// newQueuedService builds a deployed service on a deliberately tiny
-// queue so admission control is observable.
-func newQueuedService(t *testing.T, cfg ServiceConfig, app AppFunc) *Service {
+// newQueuedService builds a deployed service on a deliberately small
+// store so admission control is observable.
+func newQueuedService(t *testing.T, cfg serviceConfig, app AppFunc) (*Frontend, *execstore.Store, *httptest.Server) {
 	t.Helper()
-	d := newTestDeployer(t)
+	cfg.Deployer = newTestDeployer(t)
 	reg := NewRegistry()
 	if err := reg.Register(demoEntry("climate", app)); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewServiceWith(reg, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
 	e, _ := reg.Lookup("climate")
-	if _, err := d.Deploy(e, "zeus"); err != nil {
+	if _, err := cfg.Deployer.Deploy(e, "zeus"); err != nil {
 		t.Fatal(err)
 	}
-	return svc
+	return newService(t, reg, cfg)
 }
 
 // TestConcurrentAPIStress fires many parallel POST /api/executions from
-// two principals against a tiny queue and asserts quota enforcement,
-// 429 + Retry-After semantics and that every accepted execution reaches
-// exactly one terminal state (run with -race).
+// two principals against a small store and asserts quota enforcement,
+// 429/503 + Retry-After semantics and that every accepted execution
+// reaches exactly one terminal state (run with -race).
 func TestConcurrentAPIStress(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{
-		Workers: 2, QueueDepth: 4, PerPrincipalLimit: 3, Retention: 4096,
+	const quota = 3
+	svc, store, srv := newQueuedService(t, serviceConfig{
+		Store:   execstore.Config{MaxPending: 4, PerTenantLimit: quota, Retention: 4096},
+		Workers: 2,
 	}, func(params map[string]string) (map[string]string, error) {
 		time.Sleep(2 * time.Millisecond)
 		return map[string]string{"ok": "1"}, nil
 	})
 	svc.AuthorizeToken("tok-alice", "alice")
 	svc.AuthorizeToken("tok-bob", "bob")
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	post := func(token string) (int, string, string, error) {
 		body, _ := json.Marshal(map[string]any{"workflow": "climate"})
@@ -89,9 +84,9 @@ func TestConcurrentAPIStress(t *testing.T) {
 					mu.Lock()
 					accepted = append(accepted, id)
 					mu.Unlock()
-				case http.StatusTooManyRequests:
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					if secs, err := strconv.Atoi(retryAfter); err != nil || secs < 1 {
-						t.Errorf("429 without usable Retry-After: %q", retryAfter)
+						t.Errorf("%d without usable Retry-After: %q", code, retryAfter)
 					}
 					mu.Lock()
 					rejected++
@@ -102,8 +97,8 @@ func TestConcurrentAPIStress(t *testing.T) {
 			}(token)
 		}
 	}
-	// concurrently observe the queue: per-principal usage must respect
-	// the quota at every sample
+	// concurrently observe the store: per-principal live executions
+	// must respect the quota at every sample
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
 	sampler.Add(1)
@@ -115,9 +110,15 @@ func TestConcurrentAPIStress(t *testing.T) {
 				return
 			default:
 			}
-			for p, n := range svc.QueueStats().PerPrincipal {
-				if n > 3 {
-					t.Errorf("principal %s over quota: %d live jobs", p, n)
+			live := map[string]int{}
+			for _, v := range store.List("") {
+				if !v.State.Terminal() {
+					live[v.Tenant]++
+				}
+			}
+			for p, n := range live {
+				if n > quota {
+					t.Errorf("principal %s over quota: %d live executions", p, n)
 				}
 			}
 			time.Sleep(time.Millisecond)
@@ -137,11 +138,11 @@ func TestConcurrentAPIStress(t *testing.T) {
 	if len(ids) == 0 || nRejected == 0 {
 		t.Fatalf("load did not exercise admission: accepted=%d rejected=%d", len(ids), nRejected)
 	}
-	if stats := svc.QueueStats(); stats.RejectedQuota+stats.RejectedFull == 0 {
+	if stats := store.Stats(); stats.Shed["tenant-quota"]+stats.Shed["depth"] == 0 {
 		t.Fatalf("no admission rejections recorded: %+v", stats)
 	}
 
-	svc.Wait()
+	waitIdle(t, store)
 
 	// no lost or duplicated terminal states: every accepted ID appears
 	// exactly once in the listing, DONE
@@ -173,58 +174,62 @@ func TestConcurrentAPIStress(t *testing.T) {
 	}
 }
 
-// TestExecutionRetention covers the bounded-retention satellite: old
-// completed records evict, evicted IDs answer 410/"expired", and live
-// records are never evicted.
+// TestExecutionRetention: old completed records evict, evicted IDs
+// answer 410 on GET and DELETE, and unknown IDs stay 404.
 func TestExecutionRetention(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{
-		Workers: 1, QueueDepth: 16, Retention: 3,
+	_, store, srv := newQueuedService(t, serviceConfig{
+		Store:   execstore.Config{Retention: 3},
+		Workers: 1,
 	}, func(params map[string]string) (map[string]string, error) {
 		return map[string]string{"ok": "1"}, nil
 	})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	for i := 0; i < 6; i++ {
-		if _, err := svc.Execute("climate", nil); err != nil {
-			t.Fatal(err)
-		}
-		svc.Wait() // serialize so eviction order is deterministic
+		mustExecute(t, srv, "climate", nil)
+		waitIdle(t, store) // serialize so eviction order is deterministic
 	}
-	list := svc.ListExecutions("")
+	list := store.List("")
 	if len(list) != 3 {
 		t.Fatalf("retained %d records, want 3", len(list))
 	}
-	if list[0].ID != "exec-4" || list[2].ID != "exec-6" {
-		t.Fatalf("retained window = %s..%s, want exec-4..exec-6", list[0].ID, list[2].ID)
+	if list[0].ID != "task-4" || list[2].ID != "task-6" {
+		t.Fatalf("retained window = %s..%s, want task-4..task-6", list[0].ID, list[2].ID)
 	}
 
 	// evicted ID: distinct "expired" signal, REST answers 410
-	if _, st := svc.LookupExecution("exec-1"); st != LookupExpired {
-		t.Fatalf("exec-1 lookup = %v, want LookupExpired", st)
+	if _, st := store.Lookup("task-1"); st != execstore.LookupExpired {
+		t.Fatalf("task-1 lookup = %v, want LookupExpired", st)
 	}
-	if _, ok := svc.GetExecution("exec-1"); ok {
-		t.Fatal("GetExecution returned an evicted record")
+	if _, ok := store.Get("task-1"); ok {
+		t.Fatal("Get returned an evicted record")
 	}
-	if _, st := svc.LookupExecution("exec-999"); st != LookupUnknown {
-		t.Fatalf("exec-999 lookup = %v, want LookupUnknown", st)
+	if _, st := store.Lookup("task-999"); st != execstore.LookupUnknown {
+		t.Fatalf("task-999 lookup = %v, want LookupUnknown", st)
 	}
-	code, _ := restCall(t, srv, "GET", "/api/executions/exec-1", nil)
+	code, _ := restCall(t, srv, "GET", "/api/executions/task-1", nil)
 	if code != http.StatusGone {
 		t.Fatalf("evicted GET code = %d, want 410", code)
+	}
+	code, _ = restCall(t, srv, "DELETE", "/api/executions/task-1", nil)
+	if code != http.StatusGone {
+		t.Fatalf("evicted DELETE code = %d, want 410", code)
 	}
 	code, _ = restCall(t, srv, "GET", "/api/executions/nonsense", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown GET code = %d, want 404", code)
 	}
+	code, _ = restCall(t, srv, "DELETE", "/api/executions/task-999", nil)
+	if code != http.StatusNotFound {
+		t.Fatalf("unknown DELETE code = %d, want 404", code)
+	}
 }
 
-// TestListExecutionsOrderAndFilter covers the stable-order + ?status=
-// satellite.
+// TestListExecutionsOrderAndFilter covers the stable submission order
+// and the ?status= filter.
 func TestListExecutionsOrderAndFilter(t *testing.T) {
 	fail := make(map[string]bool)
 	var mu sync.Mutex
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 16},
+	_, store, srv := newQueuedService(t, serviceConfig{Workers: 1},
 		func(params map[string]string) (map[string]string, error) {
 			mu.Lock()
 			bad := fail[params["n"]]
@@ -234,18 +239,14 @@ func TestListExecutionsOrderAndFilter(t *testing.T) {
 			}
 			return map[string]string{"ok": "1"}, nil
 		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	mu.Lock()
 	fail["1"] = true
 	mu.Unlock()
 	for i := 0; i < 4; i++ {
-		if _, err := svc.Execute("climate", map[string]string{"n": strconv.Itoa(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustExecute(t, srv, "climate", map[string]string{"n": strconv.Itoa(i)})
 	}
-	svc.Wait()
+	waitIdle(t, store)
 
 	resp, err := srv.Client().Get(srv.URL + "/api/executions")
 	if err != nil {
@@ -258,8 +259,8 @@ func TestListExecutionsOrderAndFilter(t *testing.T) {
 		t.Fatalf("list len = %d", len(list))
 	}
 	for i, ex := range list {
-		if want := "exec-" + strconv.Itoa(i+1); ex.ID != want {
-			t.Fatalf("list[%d] = %s, want %s (stable creation order)", i, ex.ID, want)
+		if want := "task-" + strconv.Itoa(i+1); ex.ID != want {
+			t.Fatalf("list[%d] = %s, want %s (stable submission order)", i, ex.ID, want)
 		}
 	}
 
@@ -270,7 +271,7 @@ func TestListExecutionsOrderAndFilter(t *testing.T) {
 	var failed []Execution
 	json.NewDecoder(resp.Body).Decode(&failed)
 	resp.Body.Close()
-	if len(failed) != 1 || failed[0].ID != "exec-2" || failed[0].Status != ExecFailed {
+	if len(failed) != 1 || failed[0].ID != "task-2" || failed[0].Status != ExecFailed {
 		t.Fatalf("failed filter = %+v", failed)
 	}
 
@@ -290,24 +291,19 @@ func TestCancelEndpoint(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	started := make(chan struct{})
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 8},
-		func(params map[string]string) (map[string]string, error) {
-			once.Do(func() { close(started) })
-			<-gate
-			return map[string]string{"ok": "1"}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, store, srv := newQueuedService(t, serviceConfig{
+		Store:   execstore.Config{LeaseTTL: 60 * time.Millisecond},
+		Workers: 1,
+	}, func(params map[string]string) (map[string]string, error) {
+		once.Do(func() { close(started) })
+		<-gate
+		return map[string]string{"ok": "1"}, nil
+	})
 
-	// first occupies the worker; second sits queued
-	if _, err := svc.Execute("climate", nil); err != nil {
-		t.Fatal(err)
-	}
+	// first occupies the worker; second waits its turn
+	mustExecute(t, srv, "climate", nil)
 	<-started
-	queued, err := svc.Execute("climate", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	queued := mustExecute(t, srv, "climate", nil)
 	if queued.Status != ExecQueued {
 		t.Fatalf("second execution status = %s, want QUEUED", queued.Status)
 	}
@@ -316,12 +312,16 @@ func TestCancelEndpoint(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("cancel code = %d %v", code, body)
 	}
-	close(gate)
-	svc.Wait()
-	got, _ := svc.GetExecution(queued.ID)
-	if got.Status != ExecCanceled {
-		t.Fatalf("canceled execution = %+v", got)
+	// the canceled execution finalizes without its turn on the worker
+	deadline := time.Now().Add(5 * time.Second)
+	for getExecution(t, store, queued.ID).Status != ExecCanceled {
+		if time.Now().After(deadline) {
+			t.Fatalf("canceled execution = %+v", getExecution(t, store, queued.ID))
+		}
+		time.Sleep(time.Millisecond)
 	}
+	close(gate)
+	waitIdle(t, store)
 	// terminal record: conflict
 	code, _ = restCall(t, srv, "DELETE", "/api/executions/"+queued.ID, nil)
 	if code != http.StatusConflict {
@@ -333,53 +333,55 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueueEndpointAndDrain exercises GET /api/queue and the graceful
+// TestQueueEndpointAndDrain exercises GET /api/store and the graceful
 // drain path.
 func TestQueueEndpointAndDrain(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{Workers: 2, QueueDepth: 8},
-		func(params map[string]string) (map[string]string, error) {
-			time.Sleep(time.Millisecond)
-			return map[string]string{"ok": "1"}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, store, srv := newQueuedService(t, serviceConfig{
+		Store:   execstore.Config{MaxPending: 8},
+		Workers: 2,
+	}, func(params map[string]string) (map[string]string, error) {
+		time.Sleep(time.Millisecond)
+		return map[string]string{"ok": "1"}, nil
+	})
 
 	for i := 0; i < 6; i++ {
-		if _, err := svc.Execute("climate", nil); err != nil {
-			t.Fatal(err)
-		}
+		mustExecute(t, srv, "climate", nil)
 	}
-	code, stats := restCall(t, srv, "GET", "/api/queue", nil)
+	code, stats := restCall(t, srv, "GET", "/api/store", nil)
 	if code != http.StatusOK {
-		t.Fatalf("queue stats code = %d", code)
+		t.Fatalf("store stats code = %d", code)
 	}
-	if stats["capacity"].(float64) != 8 || stats["workers"].(float64) != 2 {
-		t.Fatalf("queue stats = %v", stats)
+	if stats["submitted"].(float64) != 6 || stats["replicas_live"].(float64) != 1 {
+		t.Fatalf("store stats = %v", stats)
 	}
 
+	// drain: intake stops, the backlog finishes, the executor exits
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	store.Drain()
+	if err := store.WaitIdle(ctx); err != nil {
+		t.Fatalf("store drain: %v", err)
+	}
 	if err := svc.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+		t.Fatalf("executor drain: %v", err)
 	}
 	// intake rejected after drain
-	if _, err := svc.Execute("climate", nil); !errors.Is(err, execq.ErrDraining) {
-		t.Fatalf("post-drain execute err = %v", err)
+	if code, _ := execute(t, srv, "climate", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("post-drain execute code = %d, want 503", code)
 	}
 	// all six finished
-	done := svc.ListExecutions(ExecDone)
-	if len(done) != 6 {
+	if done := store.List(execstore.StateDone); len(done) != 6 {
 		t.Fatalf("done executions = %d, want 6", len(done))
 	}
-	code, stats = restCall(t, srv, "GET", "/api/queue", nil)
+	code, stats = restCall(t, srv, "GET", "/api/store", nil)
 	if code != http.StatusOK || stats["draining"] != true {
 		t.Fatalf("post-drain stats = %d %v", code, stats)
 	}
 }
 
-// TestJournalRecoveryAcrossServices covers the crash-recovery path at
-// the service layer: executions queued in a first service's journal are
-// re-run by a second service sharing the journal path.
+// TestJournalRecoveryAcrossServices covers crash recovery at the
+// service layer: executions pending in a first service's store journal
+// are re-run by a second service opened on the same journal.
 func TestJournalRecoveryAcrossServices(t *testing.T) {
 	journal := t.TempDir() + "/exec-journal.jsonl"
 	gate := make(chan struct{})
@@ -400,18 +402,24 @@ func TestJournalRecoveryAcrossServices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc1, err := NewServiceWith(reg, d, ServiceConfig{Workers: 1, QueueDepth: 8, JournalPath: journal})
+	store1, err := execstore.Open(execstore.Config{JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc1, err := NewFrontend(FrontendConfig{ID: "api-1", Store: store1, Registry: reg, Deployer: d, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(svc1.Handler())
 	for i := 0; i < 3; i++ {
-		if _, err := svc1.Execute("climate", map[string]string{"n": strconv.Itoa(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustExecute(t, srv1, "climate", map[string]string{"n": strconv.Itoa(i)})
 	}
 	<-started
-	// "crash": svc1 is abandoned without drain; its worker stays parked
-	// on the gate, and the journal still lists all three as live.
+	// "crash": the executor dies without reporting and the store goes
+	// away; the journal still lists all three as live.
+	srv1.Close()
+	svc1.KillExecutor()
+	store1.Close()
 
 	// the recovered service runs the app to completion
 	reg2 := NewRegistry()
@@ -425,16 +433,12 @@ func TestJournalRecoveryAcrossServices(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := reg2.Lookup("climate")
-	if _, err := d.Deploy(e2, "zeus"); err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := NewServiceWith(reg2, d, ServiceConfig{Workers: 2, QueueDepth: 8, JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	svc2.Wait()
+	_, store2, srv2 := newService(t, reg2, serviceConfig{
+		Store:    execstore.Config{JournalPath: journal},
+		Workers:  2,
+		Deployer: d,
+	})
+	waitIdle(t, store2)
 
 	mu.Lock()
 	n := len(ran)
@@ -442,54 +446,56 @@ func TestJournalRecoveryAcrossServices(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("recovered runs = %d, want 3", n)
 	}
-	list := svc2.ListExecutions(ExecDone)
+	list := store2.List(execstore.StateDone)
 	if len(list) != 3 {
 		t.Fatalf("recovered DONE records = %d, want 3", len(list))
 	}
-	for _, ex := range list {
-		if ex.Results["recovered"] != "yes" {
+	for _, v := range list {
+		if ex := toExecution(v); ex.Results["recovered"] != "yes" {
 			t.Fatalf("recovered record missing results: %+v", ex)
 		}
 	}
 	// new IDs allocate past the recovered ones
-	ex, err := svc2.Execute("climate", nil)
-	if err != nil {
-		t.Fatal(err)
+	ex := mustExecute(t, srv2, "climate", nil)
+	if ex.ID != "task-4" {
+		t.Fatalf("post-recovery ID = %s, want task-4", ex.ID)
 	}
-	if ex.ID != "exec-4" {
-		t.Fatalf("post-recovery ID = %s, want exec-4", ex.ID)
-	}
-	svc2.Wait()
-	close(gate) // release the abandoned worker
-	svc1.Close()
+	waitIdle(t, store2)
+	close(gate) // release the abandoned application goroutine
 }
 
-// TestPriorityViaREST covers the priority field on POST /api/executions.
+// TestPriorityViaREST covers the priority field on POST /api/executions:
+// among one principal's pending executions, the higher priority runs
+// first.
 func TestPriorityViaREST(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	started := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 8},
+	_, store, srv := newQueuedService(t, serviceConfig{Workers: 1},
 		func(params map[string]string) (map[string]string, error) {
 			once.Do(func() { close(started) })
-			if params["tag"] == "head" {
+			switch params["tag"] {
+			case "head":
 				<-gate
-			} else {
+			case "fill":
+			default:
 				mu.Lock()
 				order = append(order, params["tag"])
 				mu.Unlock()
 			}
 			return map[string]string{}, nil
 		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
-	if _, err := svc.Execute("climate", map[string]string{"tag": "head"}); err != nil {
-		t.Fatal(err)
-	}
+	mustExecute(t, srv, "climate", map[string]string{"tag": "head"})
 	<-started
+	// One worker: "fill" takes the executor's prefetch slot, so the
+	// next two stay pending in the store, where priority orders them.
+	fill := mustExecute(t, srv, "climate", map[string]string{"tag": "fill"})
+	for getExecution(t, store, fill.ID).Status != ExecRunning {
+		time.Sleep(time.Millisecond)
+	}
 	for _, sub := range []struct {
 		tag string
 		pri int
@@ -502,9 +508,12 @@ func TestPriorityViaREST(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s = %d %v", sub.tag, code, body)
 		}
+		if sub.pri > 0 && body["priority"] != float64(sub.pri) {
+			t.Fatalf("submit %s: priority %v not echoed", sub.tag, body["priority"])
+		}
 	}
 	close(gate)
-	svc.Wait()
+	waitIdle(t, store)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
