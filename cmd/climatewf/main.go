@@ -45,6 +45,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *seq && *attach != "" {
+		// the two-stage baseline runs its own model, which would write
+		// into the external producer's directory
+		fmt.Fprintln(os.Stderr, "climatewf: -sequential cannot be combined with -attach")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	g, ok := map[string]grid.Grid{
 		"reduced": grid.Reduced,

@@ -376,17 +376,6 @@ type Runtime struct {
 	rng       *rand.Rand
 	met       *rtMetrics
 	tracer    *obs.Tracer
-
-	trace   []TraceEvent
-	tracing bool
-}
-
-// TraceEvent records one task execution for later analysis.
-type TraceEvent struct {
-	Task  string
-	ID    dag.NodeID
-	State string
-	Node  string
 }
 
 // NewRuntime starts a runtime with the given configuration.
@@ -414,18 +403,6 @@ func NewRuntime(cfg Config) *Runtime {
 		rt.slots <- struct{}{}
 	}
 	return rt
-}
-
-// EnableTracing turns on per-task trace event recording.
-func (r *Runtime) EnableTracing() { r.mu.Lock(); r.tracing = true; r.mu.Unlock() }
-
-// Trace returns a copy of recorded trace events.
-func (r *Runtime) Trace() []TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TraceEvent, len(r.trace))
-	copy(out, r.trace)
-	return out
 }
 
 // Register declares a task definition. Registering two tasks with the
@@ -881,9 +858,6 @@ func (r *Runtime) finish(in *invocation, outs []any, err error, final taskState)
 	if !in.started.IsZero() && in.ended.IsZero() {
 		in.ended = time.Now()
 	}
-	if r.tracing {
-		r.trace = append(r.trace, TraceEvent{Task: in.def.Name, ID: in.id, State: final.String(), Node: in.node})
-	}
 	r.mu.Unlock()
 	switch final {
 	case stateDone:
@@ -929,9 +903,6 @@ func (r *Runtime) cancelInvocation(in *invocation) {
 	r.mu.Lock()
 	already := in.state == stateCancelled && in.outs != nil && len(in.outs) > 0 && in.outs[0].Done()
 	in.state = stateCancelled
-	if r.tracing && !already {
-		r.trace = append(r.trace, TraceEvent{Task: in.def.Name, ID: in.id, State: stateCancelled.String()})
-	}
 	r.mu.Unlock()
 	if already {
 		return

@@ -481,7 +481,6 @@ func TestGraphMatchesInvocations(t *testing.T) {
 
 func TestTracingRecordsEvents(t *testing.T) {
 	rt := newRT(t, 2)
-	rt.EnableTracing()
 	add := addTask(t, rt)
 	if _, err := rt.InvokeOne(add, In(5)); err != nil {
 		t.Fatal(err)
@@ -489,9 +488,9 @@ func TestTracingRecordsEvents(t *testing.T) {
 	if err := rt.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	tr := rt.Trace()
-	if len(tr) != 1 || tr[0].Task != "add" || tr[0].State != "DONE" {
-		t.Fatalf("trace = %+v", tr)
+	tasks := rt.Provenance("trace").Tasks
+	if len(tasks) != 1 || tasks[0].Name != "add" || tasks[0].State != "DONE" {
+		t.Fatalf("provenance tasks = %+v", tasks)
 	}
 }
 

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"path/filepath"
 	"time"
 
@@ -284,31 +283,4 @@ func (r *Result) resultOf(year int) *YearResult {
 		}
 	}
 	return nil
-}
-
-// cubeMean computes the spatial mean of a per-cell index cube.
-func cubeMean(c *datacube.Cube) (float64, error) {
-	agg, err := c.AggregateRows("avg")
-	if err != nil {
-		return 0, err
-	}
-	defer agg.Delete()
-	red, err := agg.Reduce("avg")
-	if err != nil {
-		return 0, err
-	}
-	defer red.Delete()
-	return red.Scalar()
-}
-
-// exportIndex writes one index cube to the output directory under the
-// index's own variable name.
-func exportIndex(c *datacube.Cube, dir, name string, year int) (string, error) {
-	c.SetMeasure(name)
-	c.SetMeta("year", fmt.Sprint(year))
-	path := filepath.Join(dir, fmt.Sprintf("%s_%d.nc", name, year))
-	if err := c.ExportFile(path); err != nil {
-		return "", err
-	}
-	return path, nil
 }

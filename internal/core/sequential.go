@@ -2,17 +2,11 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
-	"repro/internal/datacube"
 	"repro/internal/esm"
-	"repro/internal/grid"
 	"repro/internal/indices"
-	"repro/internal/ml"
 	"repro/internal/stream"
-	"repro/internal/tctrack"
-	"repro/internal/viz"
 )
 
 // RunSequential executes the same analysis as Run but in the
@@ -21,34 +15,30 @@ import (
 // output, then post-processing analyzes the stored files year by year
 // "in a second stage using custom tools and scripts". No task runtime,
 // no overlap between simulation and analytics — this is the baseline
-// for the end-to-end time comparison (experiment C1).
+// for the end-to-end time comparison (experiment C1). Both stages call
+// the stage functions Run's tasks call; the wave step runs each side's
+// Listing-1 chain as one fused pass over the imported year.
+//
+// The baseline runs its own model, so AttachOnly is an error: attaching
+// would write synthetic output into the external producer's directory.
 func RunSequential(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.OutputDir == "" {
-		return nil, fmt.Errorf("core: OutputDir is required")
+	if cfg.AttachOnly {
+		return nil, fmt.Errorf("core: RunSequential runs its own model; AttachOnly is not supported")
 	}
-	for _, dir := range []string{cfg.OutputDir, cfg.ModelDir} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
+	cfg, engine, err := prepare(cfg)
+	if err != nil {
+		return nil, err
 	}
-	engine := datacube.NewEngine(datacube.Config{
-		Servers:         cfg.CubeServers,
-		FragmentLatency: cfg.FragmentLatency,
-		Metrics:         cfg.Metrics,
-	})
 	defer engine.Close()
 
 	// Stage 1: the whole simulation.
-	model := esm.NewModel(cfg.esmConfig())
-	paths, err := model.Run(esm.RunOptions{Dir: cfg.ModelDir, InterDayDelay: cfg.ESMDayDelay})
+	paths, err := runModel(cfg, esm.NewModel(cfg.esmConfig()))
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 2: post-processing of the stored output.
-	batcher := stream.NewYearBatcher(cfg.DaysPerYear, esm.YearOf)
-	batches := batcher.Add(paths...)
+	batches := stream.NewYearBatcher(cfg.DaysPerYear, esm.YearOf).Add(paths...)
 	if len(batches) != cfg.Years {
 		return nil, fmt.Errorf("core: %d complete years on disk, want %d", len(batches), cfg.Years)
 	}
@@ -56,136 +46,39 @@ func RunSequential(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{FilesProduced: len(paths)}
 	for _, batch := range batches {
-		yr, err := analyzeYearSequential(cfg, engine, baseline, batch)
+		temp, err := importYear(cfg, engine, batch)
 		if err != nil {
 			return nil, err
 		}
-		res.Years = append(res.Years, *yr)
+		hw, err := indices.HeatWavesFromCube(temp, baseline, cfg.IndexParams)
+		if err != nil {
+			return nil, err
+		}
+		cw, err := indices.ColdWavesFromCube(temp, baseline, cfg.IndexParams)
+		if err != nil {
+			return nil, err
+		}
+		_ = temp.Delete()
+		steps, err := loadTCYear(cfg, batch)
+		if err != nil {
+			return nil, err
+		}
+		dets, err := detectTC(cfg, steps)
+		if err != nil {
+			return nil, err
+		}
+		yr, err := storeYear(cfg, batch.Year, hw, cw, trackTC(cfg, batch.Year, steps, dets))
+		if err != nil {
+			return nil, err
+		}
+		res.Years = append(res.Years, yr)
 	}
 	sort.Slice(res.Years, func(i, j int) bool { return res.Years[i].Year < res.Years[j].Year })
-
-	// final map
-	total := grid.NewField(cfg.Grid)
-	for _, yr := range res.Years {
-		f, err := fieldFromIndexFile(yr.HeatWave.Number, "heat_wave_number", cfg.Grid)
-		if err != nil {
-			return nil, err
-		}
-		for i := range total.Data {
-			total.Data[i] += f.Data[i]
-		}
-	}
-	res.FinalMapPath = fmt.Sprintf("%s/heat_wave_number_all_years.ppm", cfg.OutputDir)
-	if err := viz.WritePPM(res.FinalMapPath, total, 0, 0, viz.Heat); err != nil {
+	if res.FinalMapPath, err = finalMap(cfg, res.Years); err != nil {
 		return nil, err
 	}
 	res.CubeStats = engine.Stats()
 	return res, nil
-}
-
-// analyzeYearSequential mirrors the per-year task pipeline as direct
-// calls.
-func analyzeYearSequential(cfg Config, engine *datacube.Engine, baseline *indices.Baseline, batch stream.YearBatch) (*YearResult, error) {
-	temp, err := engine.ImportFiles(batch.Files, "TREFHT", "time")
-	if err != nil {
-		return nil, err
-	}
-	hw, err := indices.HeatWavesFromCube(temp, baseline, cfg.IndexParams)
-	if err != nil {
-		return nil, err
-	}
-	cw, err := indices.ColdWavesFromCube(temp, baseline, cfg.IndexParams)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range []*indices.Result{hw, cw} {
-		if err := indices.Validate(r, cfg.IndexParams); err != nil {
-			return nil, err
-		}
-	}
-
-	out := &YearResult{Year: batch.Year}
-	type exp struct {
-		cube *datacube.Cube
-		name string
-		dst  *string
-	}
-	exports := []exp{
-		{hw.Duration, "heat_wave_duration", &out.HeatWave.Duration},
-		{hw.Number, "heat_wave_number", &out.HeatWave.Number},
-		{hw.Frequency, "heat_wave_frequency", &out.HeatWave.Frequency},
-		{cw.Duration, "cold_wave_duration", &out.ColdWave.Duration},
-		{cw.Number, "cold_wave_number", &out.ColdWave.Number},
-		{cw.Frequency, "cold_wave_frequency", &out.ColdWave.Frequency},
-	}
-	for _, e := range exports {
-		if *e.dst, err = exportIndex(e.cube, cfg.OutputDir, e.name, batch.Year); err != nil {
-			return nil, err
-		}
-	}
-	if out.HWNumberMean, err = cubeMean(hw.Number); err != nil {
-		return nil, err
-	}
-	if out.CWNumberMean, err = cubeMean(cw.Number); err != nil {
-		return nil, err
-	}
-
-	// TC branch
-	steps, err := loadTCFields(batch.Files, cfg.Grid)
-	if err != nil {
-		return nil, err
-	}
-	var dets []ml.Detection
-	if cfg.Localizer != nil {
-		for _, sf := range steps {
-			if sf.Step%2 != 0 {
-				continue
-			}
-			d, err := cfg.Localizer.DetectFields(sf.Fields, cfg.Grid, cfg.TCThreshold)
-			if err != nil {
-				return nil, err
-			}
-			dets = append(dets, d...)
-		}
-	}
-	tracker := tctrack.NewTracker()
-	for _, sf := range steps {
-		tracker.Advance(tctrack.DetectFields(sf.Fields["PSL"], sf.Fields["VORT850"], sf.Fields["T500"], sf.Day, sf.Step, cfg.Criteria))
-	}
-	tracks := tracker.Finish()
-	out.CNNDetections = dets
-	out.TrackerTracks = len(tracks)
-	out.TrackerAgreementKm = agreement(dets, tracks)
-
-	// per-year map
-	field, err := indices.CubeToField(hw.Number, cfg.Grid)
-	if err != nil {
-		return nil, err
-	}
-	out.MapPath = fmt.Sprintf("%s/heat_wave_number_%d.ppm", cfg.OutputDir, batch.Year)
-	if err := viz.WritePPM(out.MapPath, field, 0, 0, viz.Heat); err != nil {
-		return nil, err
-	}
-
-	for _, c := range []*datacube.Cube{temp, hw.Duration, hw.Number, hw.Frequency, cw.Duration, cw.Number, cw.Frequency} {
-		_ = c.Delete()
-	}
-	return out, nil
-}
-
-// fieldFromIndexFile loads an exported per-cell index file as a field.
-func fieldFromIndexFile(path, varName string, g grid.Grid) (*grid.Field, error) {
-	_, v, err := readIndexVariable(path, varName)
-	if err != nil {
-		return nil, err
-	}
-	if len(v) != g.Size() {
-		return nil, fmt.Errorf("core: index file %s has %d cells, grid wants %d", path, len(v), g.Size())
-	}
-	f := grid.NewField(g)
-	copy(f.Data, v)
-	return f, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -15,8 +14,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/ncdf"
 	"repro/internal/stream"
-	"repro/internal/tctrack"
-	"repro/internal/viz"
 )
 
 // workflow carries the wiring of one Run.
@@ -25,31 +22,24 @@ type workflow struct {
 	rt     *compss.Runtime
 	engine *datacube.Engine
 
-	// task definitions
-	tESM, tBaseMax, tBaseMin, tMonitor *compss.TaskDef
-	tImport, tDailyMax, tDailyMin      *compss.TaskDef
-	tHWDur, tHWNum, tHWFreq            *compss.TaskDef
-	tCWDur, tCWNum, tCWFreq            *compss.TaskDef
-	tTCPre, tTCInf, tTCGeo             *compss.TaskDef
-	tValidate, tFinal                  *compss.TaskDef
+	// task definitions; per-side arrays hold the heat-wave side (daily
+	// maxima) at 0 and the cold-wave side (daily minima) at 1
+	tESM, tMonitor, tImport *compss.TaskDef
+	tBaseline, tAnomaly     [2]*compss.TaskDef
+	tWave                   [2][3]*compss.TaskDef // [side][indices.WaveKind]
+	tTCPre, tTCInf, tTCGeo  *compss.TaskDef
+	tValidate, tFinal       *compss.TaskDef
 }
 
-// stepFields is the per-instant field set the TC branch consumes.
-type stepFields struct {
-	Day, Step int
-	Fields    map[string]*grid.Field
+// waveSides names each side's task kinds, heat waves first.
+var waveSides = [2]struct {
+	hot               bool
+	baseline, anomaly string
+	index             [3]string // by indices.WaveKind
+}{
+	{true, TaskLoadBaselineMax, TaskDailyMax, [3]string{TaskHWDuration, TaskHWNumber, TaskHWFrequency}},
+	{false, TaskLoadBaselineMin, TaskDailyMin, [3]string{TaskCWDuration, TaskCWNumber, TaskCWFrequency}},
 }
-
-// yearTC is the TC branch output for one year.
-type yearTC struct {
-	Year        int
-	Detections  []ml.Detection
-	Tracks      int
-	AgreementKm float64
-}
-
-// tcVars are the variables the TC branch reads from daily files.
-var tcVars = []string{"PSL", "U850", "V850", "T500", "VORT850"}
 
 // Checkpointable task outputs cross the gob boundary as interface
 // values, so every concrete type a non-ephemeral task emits must be
@@ -65,21 +55,10 @@ func init() {
 
 // Run executes the end-to-end workflow and returns its results.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.OutputDir == "" {
-		return nil, fmt.Errorf("core: OutputDir is required")
+	cfg, engine, err := prepare(cfg)
+	if err != nil {
+		return nil, err
 	}
-	for _, dir := range []string{cfg.OutputDir, cfg.ModelDir} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	engine := datacube.NewEngine(datacube.Config{
-		Servers:         cfg.CubeServers,
-		FragmentLatency: cfg.FragmentLatency,
-		Metrics:         cfg.Metrics,
-		Tracer:          cfg.Tracer,
-	})
 	defer engine.Close()
 	rt := compss.NewRuntime(compss.Config{
 		Workers:      cfg.Workers,
@@ -97,13 +76,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// #2/#3: the long-term climatology baselines, loaded once and kept
 	// in memory for every year's pipelines (§5.3).
-	baseMaxFut, err := rt.InvokeOne(w.tBaseMax)
-	if err != nil {
-		return nil, err
-	}
-	baseMinFut, err := rt.InvokeOne(w.tBaseMin)
-	if err != nil {
-		return nil, err
+	var baseFuts [2]*compss.Future
+	for side, t := range w.tBaseline {
+		if baseFuts[side], err = rt.InvokeOne(t); err != nil {
+			return nil, err
+		}
 	}
 
 	// #1: the ESM simulation task, producing one file per day. In
@@ -148,7 +125,7 @@ func Run(cfg Config) (*Result, error) {
 			checkedGrid = true
 		}
 		for _, batch := range batcher.Add(path) {
-			vf, err := w.wireYear(batch, baseMaxFut, baseMinFut)
+			vf, err := w.wireYear(batch, baseFuts)
 			if err != nil {
 				watcher.Stop()
 				return nil, shutdownErr(rt, err)
@@ -233,10 +210,21 @@ func shutdownErr(rt *compss.Runtime, err error) error {
 	return err
 }
 
-// register declares every task of Figures 2/3 on the runtime.
+// one adapts a single-output stage call to a task's output slice.
+func one[T any](v T, err error) ([]any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []any{v}, nil
+}
+
+// register declares every task of Figures 2/3 on the runtime. Each
+// task body unpacks its arguments and calls the stage function
+// RunSequential calls too.
 func (w *workflow) register() error {
 	cfg := w.cfg
 	engine := w.engine
+	p := cfg.IndexParams
 	var err error
 	reg := func(def compss.TaskDef) *compss.TaskDef {
 		if err != nil {
@@ -248,317 +236,104 @@ func (w *workflow) register() error {
 		if def.Timeout == 0 {
 			def.Timeout = cfg.TaskTimeout
 		}
+		if def.Outputs == 0 {
+			def.Outputs = 1
+		}
 		var d *compss.TaskDef
 		d, err = w.rt.Register(def)
 		return d
 	}
 
 	// #1 — the coupled model run, writing one file per simulated day.
-	w.tESM = reg(compss.TaskDef{
-		Name:    TaskESMRun,
-		Outputs: 1,
-		Weight:  10,
-		Fn: func(args []any) ([]any, error) {
-			model := args[0].(*esm.Model)
-			var diagErr error
-			opts := esm.RunOptions{Dir: cfg.ModelDir, InterDayDelay: cfg.ESMDayDelay}
-			if x := cfg.Exchange; x != nil {
-				opts.OnDataset = func(_ string, d *esm.DayOutput, ds *ncdf.Dataset) error {
-					return publishDay(x, d, ds)
-				}
-			}
-			if cfg.OnlineDiagnostics {
-				opts.OnDay = func(_ string, d *esm.DayOutput) {
-					if diagErr != nil {
-						return
-					}
-					diag, err := esm.Diagnose(d)
-					if err == nil {
-						err = esm.CheckDiagnostics(diag)
-					}
-					diagErr = err
-				}
-			}
-			paths, err := model.Run(opts)
-			if err != nil {
-				return nil, err
-			}
-			if diagErr != nil {
-				return nil, fmt.Errorf("core: online diagnostics: %w", diagErr)
-			}
-			return []any{paths}, nil
-		},
-	})
+	w.tESM = reg(compss.TaskDef{Name: TaskESMRun, Weight: 10, Fn: func(args []any) ([]any, error) {
+		return one(runModel(cfg, args[0].(*esm.Model)))
+	}})
 
-	// #2/#3 — climatology baselines (historical daily extrema).
-	w.tBaseMax = reg(compss.TaskDef{
-		Name:      TaskLoadBaselineMax,
-		Outputs:   1,
-		Ephemeral: true, // output is a live cube pointer
-		Fn: func([]any) ([]any, error) {
-			b, err := indices.BuildBaseline(engine, cfg.Grid, cfg.DaysPerYear)
-			if err != nil {
-				return nil, err
-			}
-			_ = b.TMin.Delete() // this task owns only the max side
-			return []any{b.TMax}, nil
-		},
-	})
-	w.tBaseMin = reg(compss.TaskDef{
-		Name:      TaskLoadBaselineMin,
-		Outputs:   1,
-		Ephemeral: true,
-		Fn: func([]any) ([]any, error) {
-			b, err := indices.BuildBaseline(engine, cfg.Grid, cfg.DaysPerYear)
-			if err != nil {
-				return nil, err
-			}
-			_ = b.TMax.Delete()
-			return []any{b.TMin}, nil
-		},
-	})
+	for side, s := range waveSides {
+		// #2/#3 — climatology baseline of this side (historical daily
+		// extrema).
+		w.tBaseline[side] = reg(compss.TaskDef{Name: s.baseline, Ephemeral: true, Fn: func([]any) ([]any, error) {
+			return one(indices.BaselineCube(engine, cfg.Grid, cfg.DaysPerYear, s.hot))
+		}})
+		// #6/#7 — daily extremum and anomaly against the resident
+		// baseline, one fused pass: the daily-extremum intermediate never
+		// materializes as a cube.
+		w.tAnomaly[side] = reg(compss.TaskDef{Name: s.anomaly, Ephemeral: true, Fn: func(args []any) ([]any, error) {
+			temp, baseline := args[0].(*datacube.Cube), args[1].(*datacube.Cube)
+			return one(indices.DailyAnomaly(temp.Lazy(), baseline, s.hot, p).Execute())
+		}})
+		// #9..#14 — the wave indices of Listing 1.
+		for kind, name := range s.index {
+			w.tWave[side][kind] = reg(compss.TaskDef{Name: name, Ephemeral: true, Fn: func(args []any) ([]any, error) {
+				anom := args[0].(*datacube.Cube)
+				return one(indices.WaveIndex(anom.Lazy(), s.hot, indices.WaveKind(kind), p).Tolerance(p.Tolerance).Execute())
+			}})
+		}
+	}
 
 	// #4 — year-completeness detection (stream element passthrough).
-	w.tMonitor = reg(compss.TaskDef{
-		Name:    TaskMonitorStream,
-		Outputs: 1,
-		Fn: func(args []any) ([]any, error) {
-			batch := args[0].(stream.YearBatch)
-			if len(batch.Files) != cfg.DaysPerYear {
-				return nil, fmt.Errorf("core: year %d has %d files, want %d", batch.Year, len(batch.Files), cfg.DaysPerYear)
-			}
-			return []any{batch}, nil
-		},
-	})
+	w.tMonitor = reg(compss.TaskDef{Name: TaskMonitorStream, Fn: func(args []any) ([]any, error) {
+		batch := args[0].(stream.YearBatch)
+		if len(batch.Files) != cfg.DaysPerYear {
+			return nil, fmt.Errorf("core: year %d has %d files, want %d", batch.Year, len(batch.Files), cfg.DaysPerYear)
+		}
+		return []any{batch}, nil
+	}})
 
 	// #5 — import the year's temperature into an in-memory cube.
-	w.tImport = reg(compss.TaskDef{
-		Name:      TaskImportYear,
-		Outputs:   1,
-		Ephemeral: true,
-		Fn: func(args []any) ([]any, error) {
-			batch := args[0].(stream.YearBatch)
-			if x := cfg.Exchange; x != nil && !cfg.AttachOnly {
-				if cube, err := importYearExchange(engine, x, batch, cfg.Grid); err == nil {
-					return []any{cube}, nil
-				}
-				// any exchange miss: the files hold the same bytes
-			}
-			cube, err := engine.ImportFiles(batch.Files, "TREFHT", "time")
-			if err != nil {
-				return nil, err
-			}
-			return []any{cube}, nil
-		},
-	})
-
-	// #6/#7 — daily extrema and anomaly against the resident baseline,
-	// folded into one per-fragment pass: the daily-extremum intermediate
-	// never materializes as a cube.
-	dailyAnomaly := func(op string) compss.TaskFunc {
-		return func(args []any) ([]any, error) {
-			temp := args[0].(*datacube.Cube)
-			baseline := args[1].(*datacube.Cube)
-			anom, err := temp.Lazy().
-				ReduceGroup(op, esm.StepsPerDay).
-				Intercube(baseline, "sub").
-				Execute()
-			if err != nil {
-				return nil, err
-			}
-			return []any{anom}, nil
-		}
-	}
-	w.tDailyMax = reg(compss.TaskDef{Name: TaskDailyMax, Outputs: 1, Ephemeral: true, Fn: dailyAnomaly("max")})
-	w.tDailyMin = reg(compss.TaskDef{Name: TaskDailyMin, Outputs: 1, Ephemeral: true, Fn: dailyAnomaly("min")})
-
-	// #9..#14 — the six wave indices (Listing 1 operator chains).
-	p := cfg.IndexParams
-	durationTask := func(runOp string, th float64) compss.TaskFunc {
-		return func(args []any) ([]any, error) {
-			anom := args[0].(*datacube.Cube)
-			dur, err := anom.Lazy().
-				Reduce(runOp, th).
-				Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays)).
-				Execute()
-			if err != nil {
-				return nil, err
-			}
-			return []any{dur}, nil
-		}
-	}
-	numberTask := func(countOp string, th float64) compss.TaskFunc {
-		return func(args []any) ([]any, error) {
-			anom := args[0].(*datacube.Cube)
-			num, err := anom.Reduce(countOp, th, float64(p.MinDays))
-			if err != nil {
-				return nil, err
-			}
-			return []any{num}, nil
-		}
-	}
-	frequencyTask := func(daysOp string, th float64) compss.TaskFunc {
-		return func(args []any) ([]any, error) {
-			anom := args[0].(*datacube.Cube)
-			freq, err := anom.Lazy().
-				Reduce(daysOp, th, float64(p.MinDays)).
-				Apply(fmt.Sprintf("x/%d", p.DaysPerYear)).
-				Execute()
-			if err != nil {
-				return nil, err
-			}
-			return []any{freq}, nil
-		}
-	}
-	w.tHWDur = reg(compss.TaskDef{Name: TaskHWDuration, Outputs: 1, Ephemeral: true, Fn: durationTask("longest_run_above", p.ThresholdK)})
-	w.tHWNum = reg(compss.TaskDef{Name: TaskHWNumber, Outputs: 1, Ephemeral: true, Fn: numberTask("count_runs_above", p.ThresholdK)})
-	w.tHWFreq = reg(compss.TaskDef{Name: TaskHWFrequency, Outputs: 1, Ephemeral: true, Fn: frequencyTask("days_in_runs_above", p.ThresholdK)})
-	w.tCWDur = reg(compss.TaskDef{Name: TaskCWDuration, Outputs: 1, Ephemeral: true, Fn: durationTask("longest_run_below", -p.ThresholdK)})
-	w.tCWNum = reg(compss.TaskDef{Name: TaskCWNumber, Outputs: 1, Ephemeral: true, Fn: numberTask("count_runs_below", -p.ThresholdK)})
-	w.tCWFreq = reg(compss.TaskDef{Name: TaskCWFrequency, Outputs: 1, Ephemeral: true, Fn: frequencyTask("days_in_runs_below", -p.ThresholdK)})
+	w.tImport = reg(compss.TaskDef{Name: TaskImportYear, Ephemeral: true, Fn: func(args []any) ([]any, error) {
+		return one(importYear(cfg, engine, args[0].(stream.YearBatch)))
+	}})
 
 	// #15 — TC pre-processing: read the dynamical fields per instant.
-	w.tTCPre = reg(compss.TaskDef{
-		Name:      TaskTCPreprocess,
-		Outputs:   1,
-		Ephemeral: true, // outputs hold live per-instant field maps
-		Fn: func(args []any) ([]any, error) {
-			batch := args[0].(stream.YearBatch)
-			var steps []stepFields
-			var err error
-			if x := cfg.Exchange; x != nil && !cfg.AttachOnly {
-				steps, err = loadTCFieldsExchange(x, batch.Files, cfg.Grid)
-			} else {
-				steps, err = loadTCFields(batch.Files, cfg.Grid)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return []any{steps}, nil
-		},
-	})
+	// Ephemeral: outputs hold live per-instant field maps.
+	w.tTCPre = reg(compss.TaskDef{Name: TaskTCPreprocess, Ephemeral: true, Fn: func(args []any) ([]any, error) {
+		return one(loadTCYear(cfg, args[0].(stream.YearBatch)))
+	}})
 
 	// #16 — CNN inference over tiled, scaled patches.
-	w.tTCInf = reg(compss.TaskDef{
-		Name:    TaskTCInference,
-		Outputs: 1,
-		Fn: func(args []any) ([]any, error) {
-			steps := args[0].([]stepFields)
-			if cfg.Localizer == nil {
-				return []any{[]ml.Detection(nil)}, nil
-			}
-			// the compiled engine is safe to share across per-year tasks
-			// (each sweep borrows pooled sessions); only the reference
-			// layer path keeps per-goroutine state and needs its own
-			// network instance
-			local := cfg.Localizer
-			if !local.Compiled() {
-				net, err := local.Net.Clone()
-				if err != nil {
-					return nil, err
-				}
-				local = &ml.Localizer{Net: net, PatchH: local.PatchH, PatchW: local.PatchW}
-				local.Configure(ml.Params{Reference: true})
-			}
-			var dets []ml.Detection
-			for _, sf := range steps {
-				if sf.Step%2 != 0 {
-					continue // inference cadence: every second step
-				}
-				d, err := local.DetectFields(sf.Fields, cfg.Grid, cfg.TCThreshold)
-				if err != nil {
-					return nil, err
-				}
-				dets = append(dets, d...)
-			}
-			return []any{dets}, nil
-		},
-	})
+	w.tTCInf = reg(compss.TaskDef{Name: TaskTCInference, Fn: func(args []any) ([]any, error) {
+		return one(detectTC(cfg, args[0].([]stepFields)))
+	}})
 
 	// #17 — geo-referencing plus deterministic-tracker validation.
-	w.tTCGeo = reg(compss.TaskDef{
-		Name:    TaskTCGeoreference,
-		Outputs: 1,
-		Fn: func(args []any) ([]any, error) {
-			steps := args[0].([]stepFields)
-			dets, _ := args[1].([]ml.Detection)
-			year := args[2].(int)
-			tracker := tctrack.NewTracker()
-			for _, sf := range steps {
-				cand := tctrack.DetectFields(sf.Fields["PSL"], sf.Fields["VORT850"], sf.Fields["T500"], sf.Day, sf.Step, cfg.Criteria)
-				tracker.Advance(cand)
-				// Close the ML loop: feed the deterministic detections as
-				// pseudo-labels so the trainer improves the localizer on
-				// exactly the data the simulation is producing. Inference
-				// cadence (even steps) keeps training and inference inputs
-				// aligned; a full queue just drops the step.
-				if tr := cfg.OnlineTrainer; tr != nil && sf.Step%2 == 0 {
-					centers := make([]ml.Center, 0, len(cand))
-					for _, c := range cand {
-						ci, cj := cfg.Grid.CellOf(c.Lat, c.Lon)
-						centers = append(centers, ml.Center{Row: ci, Col: cj})
-					}
-					tr.Feed(sf.Fields, centers)
-				}
-			}
-			tracks := tracker.Finish()
-			return []any{yearTC{
-				Year:        year,
-				Detections:  dets,
-				Tracks:      len(tracks),
-				AgreementKm: agreement(dets, tracks),
-			}}, nil
-		},
-	})
+	w.tTCGeo = reg(compss.TaskDef{Name: TaskTCGeoreference, Fn: func(args []any) ([]any, error) {
+		dets, _ := args[1].([]ml.Detection)
+		return []any{trackTC(cfg, args[2].(int), args[0].([]stepFields), dets)}, nil
+	}})
 
-	// #8 — validation, storage and the intermediate per-year map.
-	w.tValidate = reg(compss.TaskDef{
-		Name:    TaskValidateStore,
-		Outputs: 1,
-		Fn:      w.validateStore,
-	})
+	// #8 — validation, storage and the intermediate per-year map; then
+	// the year's intermediate cubes are freed.
+	w.tValidate = reg(compss.TaskDef{Name: TaskValidateStore, Fn: func(args []any) ([]any, error) {
+		cube := func(i int) *datacube.Cube { return args[i].(*datacube.Cube) }
+		hw := &indices.Result{Duration: cube(1), Number: cube(2), Frequency: cube(3)}
+		cw := &indices.Result{Duration: cube(4), Number: cube(5), Frequency: cube(6)}
+		out, err := storeYear(cfg, args[0].(int), hw, cw, args[7].(yearTC))
+		if err != nil {
+			return nil, err
+		}
+		for i := 8; i < len(args); i++ {
+			_ = cube(i).Delete()
+		}
+		return []any{out}, nil
+	}})
 
 	// Final maps across all years (step 6).
-	w.tFinal = reg(compss.TaskDef{
-		Name:    TaskFinalMaps,
-		Outputs: 1,
-		Fn: func(args []any) ([]any, error) {
-			total := grid.NewField(cfg.Grid)
-			years := 0
-			for _, a := range args {
-				yr, ok := a.(YearResult)
-				if !ok {
-					continue
-				}
-				ds, err := ncdf.ReadFile(yr.HeatWave.Number)
-				if err != nil {
-					return nil, err
-				}
-				v, err := ds.Var("heat_wave_number")
-				if err != nil {
-					return nil, err
-				}
-				for i := range total.Data {
-					total.Data[i] += v.Data[i]
-				}
-				years++
+	w.tFinal = reg(compss.TaskDef{Name: TaskFinalMaps, Fn: func(args []any) ([]any, error) {
+		var years []YearResult
+		for _, a := range args {
+			if yr, ok := a.(YearResult); ok {
+				years = append(years, yr)
 			}
-			if years == 0 {
-				return nil, fmt.Errorf("core: no validated years for final map")
-			}
-			path := fmt.Sprintf("%s/heat_wave_number_all_years.ppm", cfg.OutputDir)
-			if err := viz.WritePPM(path, total, 0, 0, viz.Heat); err != nil {
-				return nil, err
-			}
-			return []any{path}, nil
-		},
-	})
+		}
+		return one(finalMap(cfg, years))
+	}})
 	return err
 }
 
 // wireYear builds the per-year sub-graph (#4..#17 plus #8) and returns
 // the validate_store future.
-func (w *workflow) wireYear(batch stream.YearBatch, baseMax, baseMin *compss.Future) (*compss.Future, error) {
+func (w *workflow) wireYear(batch stream.YearBatch, baseline [2]*compss.Future) (*compss.Future, error) {
 	rt := w.rt
 	monitorFut, err := rt.InvokeOne(w.tMonitor, compss.In(batch))
 	if err != nil {
@@ -568,37 +343,21 @@ func (w *workflow) wireYear(batch stream.YearBatch, baseMax, baseMin *compss.Fut
 	if err != nil {
 		return nil, err
 	}
-	dmax, err := rt.InvokeOne(w.tDailyMax, compss.In(importFut), compss.In(baseMax))
-	if err != nil {
-		return nil, err
+	var anom [2]*compss.Future
+	for side, t := range w.tAnomaly {
+		if anom[side], err = rt.InvokeOne(t, compss.In(importFut), compss.In(baseline[side])); err != nil {
+			return nil, err
+		}
 	}
-	dmin, err := rt.InvokeOne(w.tDailyMin, compss.In(importFut), compss.In(baseMin))
-	if err != nil {
-		return nil, err
-	}
-	hwDur, err := rt.InvokeOne(w.tHWDur, compss.In(dmax))
-	if err != nil {
-		return nil, err
-	}
-	hwNum, err := rt.InvokeOne(w.tHWNum, compss.In(dmax))
-	if err != nil {
-		return nil, err
-	}
-	hwFreq, err := rt.InvokeOne(w.tHWFreq, compss.In(dmax))
-	if err != nil {
-		return nil, err
-	}
-	cwDur, err := rt.InvokeOne(w.tCWDur, compss.In(dmin))
-	if err != nil {
-		return nil, err
-	}
-	cwNum, err := rt.InvokeOne(w.tCWNum, compss.In(dmin))
-	if err != nil {
-		return nil, err
-	}
-	cwFreq, err := rt.InvokeOne(w.tCWFreq, compss.In(dmin))
-	if err != nil {
-		return nil, err
+	validate := []compss.Param{compss.In(batch.Year)}
+	for side, kinds := range w.tWave {
+		for _, t := range kinds {
+			f, err := rt.InvokeOne(t, compss.In(anom[side]))
+			if err != nil {
+				return nil, err
+			}
+			validate = append(validate, compss.In(f))
+		}
 	}
 	tcPre, err := rt.InvokeOne(w.tTCPre, compss.In(monitorFut))
 	if err != nil {
@@ -612,82 +371,8 @@ func (w *workflow) wireYear(batch stream.YearBatch, baseMax, baseMin *compss.Fut
 	if err != nil {
 		return nil, err
 	}
-	return rt.InvokeOne(w.tValidate,
-		compss.In(batch.Year),
-		compss.In(hwDur), compss.In(hwNum), compss.In(hwFreq),
-		compss.In(cwDur), compss.In(cwNum), compss.In(cwFreq),
-		compss.In(tcGeo),
-		compss.In(importFut), compss.In(dmax), compss.In(dmin),
-	)
-}
-
-// validateStore is task #8: validate the six index cubes, export them
-// as NetCDF-like files, render the intermediate map, free the year's
-// intermediate cubes, and emit the YearResult.
-func (w *workflow) validateStore(args []any) ([]any, error) {
-	cfg := w.cfg
-	year := args[0].(int)
-	hwDur := args[1].(*datacube.Cube)
-	hwNum := args[2].(*datacube.Cube)
-	hwFreq := args[3].(*datacube.Cube)
-	cwDur := args[4].(*datacube.Cube)
-	cwNum := args[5].(*datacube.Cube)
-	cwFreq := args[6].(*datacube.Cube)
-	tc := args[7].(yearTC)
-	importCube := args[8].(*datacube.Cube)
-	anomMax := args[9].(*datacube.Cube)
-	anomMin := args[10].(*datacube.Cube)
-
-	hw := &indices.Result{Duration: hwDur, Number: hwNum, Frequency: hwFreq}
-	cw := &indices.Result{Duration: cwDur, Number: cwNum, Frequency: cwFreq}
-	for _, r := range []*indices.Result{hw, cw} {
-		if err := indices.Validate(r, cfg.IndexParams); err != nil {
-			return nil, err
-		}
-	}
-
-	out := YearResult{Year: year, CNNDetections: tc.Detections, TrackerTracks: tc.Tracks, TrackerAgreementKm: tc.AgreementKm}
-	var err error
-	if out.HeatWave.Duration, err = exportIndex(hwDur, cfg.OutputDir, "heat_wave_duration", year); err != nil {
-		return nil, err
-	}
-	if out.HeatWave.Number, err = exportIndex(hwNum, cfg.OutputDir, "heat_wave_number", year); err != nil {
-		return nil, err
-	}
-	if out.HeatWave.Frequency, err = exportIndex(hwFreq, cfg.OutputDir, "heat_wave_frequency", year); err != nil {
-		return nil, err
-	}
-	if out.ColdWave.Duration, err = exportIndex(cwDur, cfg.OutputDir, "cold_wave_duration", year); err != nil {
-		return nil, err
-	}
-	if out.ColdWave.Number, err = exportIndex(cwNum, cfg.OutputDir, "cold_wave_number", year); err != nil {
-		return nil, err
-	}
-	if out.ColdWave.Frequency, err = exportIndex(cwFreq, cfg.OutputDir, "cold_wave_frequency", year); err != nil {
-		return nil, err
-	}
-	if out.HWNumberMean, err = cubeMean(hwNum); err != nil {
-		return nil, err
-	}
-	if out.CWNumberMean, err = cubeMean(cwNum); err != nil {
-		return nil, err
-	}
-
-	// intermediate per-year map (Figure 4)
-	field, err := indices.CubeToField(hwNum, cfg.Grid)
-	if err != nil {
-		return nil, err
-	}
-	out.MapPath = fmt.Sprintf("%s/heat_wave_number_%d.ppm", cfg.OutputDir, year)
-	if err := viz.WritePPM(out.MapPath, field, 0, 0, viz.Heat); err != nil {
-		return nil, err
-	}
-
-	// free the year's cubes; results live on disk now
-	for _, c := range []*datacube.Cube{hwDur, hwNum, hwFreq, cwDur, cwNum, cwFreq, importCube, anomMax, anomMin} {
-		_ = c.Delete()
-	}
-	return []any{out}, nil
+	validate = append(validate, compss.In(tcGeo), compss.In(importFut), compss.In(anom[0]), compss.In(anom[1]))
+	return rt.InvokeOne(w.tValidate, validate...)
 }
 
 // checkFileGrid verifies a daily model file matches the configured
@@ -710,100 +395,4 @@ func checkFileGrid(path string, g grid.Grid) error {
 			nlat, nlon, g.NLat, g.NLon)
 	}
 	return nil
-}
-
-// loadTCFields reads the TC branch variables from the year's files.
-func loadTCFields(files []string, g grid.Grid) ([]stepFields, error) {
-	var out []stepFields
-	for _, path := range files {
-		_, dayOfYear, ok := esm.ParseFileName(path)
-		if !ok {
-			return nil, fmt.Errorf("core: unparseable model file %q", path)
-		}
-		perVar, err := readDayVars(path)
-		if err != nil {
-			return nil, err
-		}
-		steps, err := dayStepFields(perVar, g, dayOfYear)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, steps...)
-	}
-	sortStepFields(out)
-	return out, nil
-}
-
-// readDayVars reads one daily file's TC variables.
-func readDayVars(path string) (map[string][]float32, error) {
-	perVar := make(map[string][]float32, len(tcVars))
-	for _, v := range tcVars {
-		_, vv, err := ncdf.ReadVariableFile(path, v)
-		if err != nil {
-			return nil, err
-		}
-		perVar[v] = vv.Data
-	}
-	return perVar, nil
-}
-
-// dayStepFields slices one day's step-major variable arrays into
-// per-instant field sets, deriving the wind-speed channel. The source
-// arrays are only read — exchange tensors stay intact for other
-// consumers.
-func dayStepFields(perVar map[string][]float32, g grid.Grid, dayOfYear int) ([]stepFields, error) {
-	size := g.Size()
-	out := make([]stepFields, 0, esm.StepsPerDay)
-	for _, v := range tcVars {
-		if len(perVar[v]) != esm.StepsPerDay*size {
-			return nil, fmt.Errorf("core: day %d variable %s holds %d values, want %d", dayOfYear, v, len(perVar[v]), esm.StepsPerDay*size)
-		}
-	}
-	for s := 0; s < esm.StepsPerDay; s++ {
-		fields := make(map[string]*grid.Field, len(tcVars)+1)
-		for _, v := range tcVars {
-			f := grid.NewField(g)
-			copy(f.Data, perVar[v][s*size:(s+1)*size])
-			fields[v] = f
-		}
-		// derived wind speed channel for the CNN
-		w := grid.NewField(g)
-		u, vv := fields["U850"], fields["V850"]
-		for i := range w.Data {
-			w.Data[i] = float32(math.Hypot(float64(u.Data[i]), float64(vv.Data[i])))
-		}
-		fields["WSPD"] = w
-		out = append(out, stepFields{Day: dayOfYear, Step: s, Fields: fields})
-	}
-	return out, nil
-}
-
-func sortStepFields(out []stepFields) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Day != out[j].Day {
-			return out[i].Day < out[j].Day
-		}
-		return out[i].Step < out[j].Step
-	})
-}
-
-// agreement is the mean distance from each CNN detection to the
-// nearest deterministic track point; -1 when either side is empty.
-func agreement(dets []ml.Detection, tracks []*tctrack.Track) float64 {
-	if len(dets) == 0 || len(tracks) == 0 {
-		return -1
-	}
-	var sum float64
-	for _, d := range dets {
-		best := math.Inf(1)
-		for _, t := range tracks {
-			for _, p := range t.Points {
-				if dist := grid.Haversine(d.Lat, d.Lon, p.Lat, p.Lon); dist < best {
-					best = dist
-				}
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(dets))
 }

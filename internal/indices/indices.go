@@ -144,46 +144,46 @@ type Baseline struct {
 // averages computed over a 20-year period"). Each cube has one row per
 // grid cell and one value per day of year.
 func BuildBaseline(e *datacube.Engine, g grid.Grid, daysPerYear int) (*Baseline, error) {
-	mkdims := func() []datacube.Dimension {
-		return []datacube.Dimension{{Name: "lat", Size: g.NLat}, {Name: "lon", Size: g.NLon}}
-	}
-	tmax, err := e.NewCubeFromFunc("TMAX_CLIM", mkdims(),
-		datacube.Dimension{Name: "dayofyear", Size: daysPerYear},
-		func(row, day int) float32 {
-			i, j := g.RowCol(row)
-			return float32(esm.Climatology(g, i, j, day, daysPerYear) + maxDiurnal())
-		})
+	tmax, err := BaselineCube(e, g, daysPerYear, true)
 	if err != nil {
 		return nil, err
 	}
-	tmin, err := e.NewCubeFromFunc("TMIN_CLIM", mkdims(),
-		datacube.Dimension{Name: "dayofyear", Size: daysPerYear},
-		func(row, day int) float32 {
-			i, j := g.RowCol(row)
-			return float32(esm.Climatology(g, i, j, day, daysPerYear) + minDiurnal())
-		})
+	tmin, err := BaselineCube(e, g, daysPerYear, false)
 	if err != nil {
 		return nil, err
 	}
-	tmax.SetMeta("role", "baseline")
-	tmin.SetMeta("role", "baseline")
 	return &Baseline{TMax: tmax, TMin: tmin, Grid: g, DaysPerYear: daysPerYear}, nil
 }
 
-func maxDiurnal() float64 {
-	m := -1e9
-	for s := 0; s < esm.StepsPerDay; s++ {
-		if v := esm.DiurnalAnomaly(s); v > m {
-			m = v
-		}
+// BaselineCube materializes one side of the climatology baseline: the
+// daily-maximum cube (Baseline.TMax) when hot, the daily-minimum cube
+// (Baseline.TMin) otherwise. A consumer of one side builds only that
+// side.
+func BaselineCube(e *datacube.Engine, g grid.Grid, daysPerYear int, hot bool) (*datacube.Cube, error) {
+	measure, diurnal := "TMIN_CLIM", diurnalExtreme(false)
+	if hot {
+		measure, diurnal = "TMAX_CLIM", diurnalExtreme(true)
 	}
-	return m
+	c, err := e.NewCubeFromFunc(measure,
+		[]datacube.Dimension{{Name: "lat", Size: g.NLat}, {Name: "lon", Size: g.NLon}},
+		datacube.Dimension{Name: "dayofyear", Size: daysPerYear},
+		func(row, day int) float32 {
+			i, j := g.RowCol(row)
+			return float32(esm.Climatology(g, i, j, day, daysPerYear) + diurnal)
+		})
+	if err != nil {
+		return nil, err
+	}
+	c.SetMeta("role", "baseline")
+	return c, nil
 }
 
-func minDiurnal() float64 {
-	m := 1e9
-	for s := 0; s < esm.StepsPerDay; s++ {
-		if v := esm.DiurnalAnomaly(s); v < m {
+// diurnalExtreme is the largest (hot) or smallest sub-daily anomaly of
+// the modelled diurnal cycle.
+func diurnalExtreme(hot bool) float64 {
+	m := esm.DiurnalAnomaly(0)
+	for s := 1; s < esm.StepsPerDay; s++ {
+		if v := esm.DiurnalAnomaly(s); (hot && v > m) || (!hot && v < m) {
 			m = v
 		}
 	}
@@ -217,12 +217,46 @@ func ColdWavesFromCube(temp *datacube.Cube, b *Baseline, p Params) (*Result, err
 	return wavePipeline(temp, b.TMin, p, false)
 }
 
-// wavePipeline is the shared operator chain of the paper's Listing 1:
-// daily extremum → anomaly vs baseline → duration / count / frequency
-// reductions, all fragment-parallel on the datacube engine. The chain
-// runs as ONE fused multi-output pass: the shared daily-extremum/anomaly
-// prefix is computed per row into scratch and the three index
-// reductions branch off it, so daily/anomaly intermediates never
+// WaveKind selects one of the three per-wave indices of Listing 1.
+type WaveKind int
+
+const (
+	WaveDuration  WaveKind = iota // longest qualifying wave, in days
+	WaveNumber                    // count of qualifying waves
+	WaveFrequency                 // share of the year spent in qualifying waves
+)
+
+// DailyAnomaly appends Listing 1's shared prefix to pl: the daily
+// extremum over the sub-daily steps (maximum for heat waves, minimum
+// for cold waves) minus the same side's climatological baseline.
+// Every wave index reduces this per-cell daily anomaly.
+func DailyAnomaly(pl *datacube.Plan, baseline *datacube.Cube, hot bool, p Params) *datacube.Plan {
+	p = p.Defaults()
+	extremum, _, _, _, _ := waveOps(hot, p)
+	return pl.ReduceGroup(extremum, p.StepsPerDay).Intercube(baseline, "sub")
+}
+
+// WaveIndex appends one index branch of Listing 1 to pl, whose rows
+// hold the daily anomaly DailyAnomaly computes: the longest run beyond
+// the threshold (zeroed below MinDays), the number of qualifying runs,
+// or the days in qualifying runs as a share of the year.
+func WaveIndex(pl *datacube.Plan, hot bool, kind WaveKind, p Params) *datacube.Plan {
+	p = p.Defaults()
+	_, runOp, countOp, daysOp, th := waveOps(hot, p)
+	switch kind {
+	case WaveDuration:
+		return pl.Reduce(runOp, th).Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays))
+	case WaveNumber:
+		return pl.Reduce(countOp, th, float64(p.MinDays))
+	case WaveFrequency:
+		return pl.Reduce(daysOp, th, float64(p.MinDays)).Apply(fmt.Sprintf("x/%d", p.DaysPerYear))
+	}
+	panic(fmt.Sprintf("indices: unknown wave index kind %d", kind))
+}
+
+// wavePipeline runs Listing 1 as ONE fused multi-output pass: the
+// shared daily-anomaly prefix is computed per row into scratch and the
+// three index branches reduce it, so daily/anomaly intermediates never
 // materialize as cubes.
 func wavePipeline(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bool) (*Result, error) {
 	if temp.ImplicitLen() != p.StepsPerDay*p.DaysPerYear {
@@ -235,15 +269,12 @@ func wavePipeline(temp *datacube.Cube, baseline *datacube.Cube, p Params, hot bo
 	if temp.Rows() != baseline.Rows() {
 		return nil, fmt.Errorf("indices: input rows %d != baseline rows %d", temp.Rows(), baseline.Rows())
 	}
-	op, runOp, countOp, daysOp, th := waveOps(hot, p)
-	outs, err := temp.Lazy().
-		ReduceGroup(op, p.StepsPerDay).
-		Intercube(baseline, "sub").
+	outs, err := DailyAnomaly(temp.Lazy(), baseline, hot, p).
 		Tolerance(p.Tolerance).
 		ExecuteBranches(
-			datacube.Branch().Reduce(runOp, th).Apply(fmt.Sprintf("x>=%d ? x : 0", p.MinDays)),
-			datacube.Branch().Reduce(countOp, th, float64(p.MinDays)),
-			datacube.Branch().Reduce(daysOp, th, float64(p.MinDays)).Apply(fmt.Sprintf("x/%d", p.DaysPerYear)),
+			WaveIndex(datacube.Branch(), hot, WaveDuration, p),
+			WaveIndex(datacube.Branch(), hot, WaveNumber, p),
+			WaveIndex(datacube.Branch(), hot, WaveFrequency, p),
 		)
 	if err != nil {
 		return nil, err

@@ -109,7 +109,7 @@ func BuildPercentileBaseline(e *datacube.Engine, g grid.Grid, daysPerYear, histY
 		return pct, nil
 	}
 
-	maxD := maxDiurnal()
+	maxD := diurnalExtreme(true)
 	tx90, err := build(0.9, func(row, day int) float32 {
 		i, j := g.RowCol(row)
 		return float32(esm.Climatology(g, i, j, day, daysPerYear) + maxD)
@@ -117,7 +117,7 @@ func BuildPercentileBaseline(e *datacube.Engine, g grid.Grid, daysPerYear, histY
 	if err != nil {
 		return nil, err
 	}
-	minD := minDiurnal()
+	minD := diurnalExtreme(false)
 	tn10, err := build(0.1, func(row, day int) float32 {
 		i, j := g.RowCol(row)
 		return float32(esm.Climatology(g, i, j, day, daysPerYear) + minD)
